@@ -3,9 +3,9 @@ with LBP-TOP features, a linear max-margin classifier and WAR/UAR metrics."""
 
 from .kernels import (AugmentedKernels, FeatureMatrix, KernelSpec,
                       build_augmented, gram_matrix, kernel_eval, mmd)
-from .solver import (SolverConfig, SolverTrace, TsrgModel, fg_residual, fit,
-                     load_model, objective, regenerate, save_model, shrink,
-                     update_multiplier, update_p, update_q)
+from .solver import (SolverConfig, SolverTrace, TsrgModel, fit, load_model,
+                     regenerate, save_model, shrink, update_multiplier, update_p,
+                     update_q)
 from .classifier import LabeledDataset, LinearClassifier, predict, train
 from .metrics import EvalReport, evaluate, render_text
 from .lbptop import LbpTopParams, VideoClip, extract, lbp_code, uniform_lut
@@ -18,8 +18,8 @@ from .experiment import (ExperimentConfig, ExperimentResult, GridRow,
 __all__ = [
     "AugmentedKernels", "FeatureMatrix", "KernelSpec", "build_augmented",
     "gram_matrix", "kernel_eval", "mmd",
-    "SolverConfig", "SolverTrace", "TsrgModel", "fg_residual", "fit",
-    "load_model", "objective", "regenerate", "save_model", "shrink",
+    "SolverConfig", "SolverTrace", "TsrgModel", "fit", "load_model",
+    "regenerate", "save_model", "shrink",
     "update_multiplier", "update_p", "update_q",
     "LabeledDataset", "LinearClassifier", "predict", "train",
     "EvalReport", "evaluate", "render_text",

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from .data import (SynthSpec, ingest_csv, ingest_manifest, load_manifest,
                    synth_generate, write_dataset_csv)
 from .errors import TsrgError
 from .experiment import (ExperimentConfig, emit_records, grid_search,
-                         parse_records, run_experiment)
+                         parse_records, render_result, run_experiment)
 from .kernels import KernelSpec
 from .lbptop import LbpTopParams
 from .metrics import EvalReport, render_text
@@ -59,7 +61,6 @@ def _experiment_config(args, lam: float, mu: float) -> ExperimentConfig:
         penalty_c=args.penalty_c,
         standardize=args.standardize,
         train_on_regenerated=args.train_on_regenerated,
-        seed=args.seed,
     )
 
 
@@ -96,26 +97,32 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    out_dir = Path(args.out_dir)
+def _write_outputs(out_dir: str, texts: dict[str, str], model=None) -> None:
+    """Write every output or none: the text files (and model.npz) go to a
+    temporary directory in out_dir and are moved into place once all exist."""
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=out_dir) as tmp:
+        for name, text in texts.items():
+            (Path(tmp) / name).write_text(text)
+        if model is not None:
+            save_model(model, Path(tmp) / "model.npz")
+        for name in os.listdir(tmp):
+            os.replace(Path(tmp) / name, out_dir / name)
+
+
+def cmd_run(args) -> int:
     source, target = _load_datasets(args)
     config = _experiment_config(args, args.lam, args.mu)
     result = run_experiment(source, target, config)
-    # write everything or nothing: render first, then persist
     records = emit_records(result, args.source, args.target)
-    from .experiment import render_result
     text = render_result(result, args.source, args.target)
-    (out_dir / "report.jsonl").write_text(records)
-    (out_dir / "report.txt").write_text(text)
-    save_model(result.model, out_dir / "model.npz")
+    _write_outputs(args.out_dir, {"report.jsonl": records, "report.txt": text}, result.model)
     print(text)
     return 0
 
 
 def cmd_grid(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     source, target = _load_datasets(args)
     config = _experiment_config(args, 1.0, 1e-3)
     rows = grid_search(source, target, config,
@@ -126,8 +133,7 @@ def cmd_grid(args) -> int:
         flag = "  <- best" if row.best else ""
         lines.append(f"{row.lam:8g}  {row.mu:8g}  {row.war:8.4f}  {row.uar:8.4f}{flag}")
     table = "\n".join(lines) + "\n"
-    (out_dir / "grid.jsonl").write_text(records)
-    (out_dir / "grid.txt").write_text(table)
+    _write_outputs(args.out_dir, {"grid.jsonl": records, "grid.txt": table})
     print(table)
     return 0
 

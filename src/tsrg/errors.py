@@ -10,7 +10,7 @@ class DimensionError(TsrgError):
 
 
 class NumericalError(TsrgError):
-    """A numerical routine failed (e.g. factorization after jitter escalation)."""
+    """A numerical routine failed (e.g. the solver's eigendecomposition did not converge)."""
 
 
 class NonFiniteError(TsrgError):

@@ -2,15 +2,15 @@
 
 The baseline path trains on the labeled source and predicts the raw
 target; the adapted path fits the re-generator on (X_s, unlabeled X_t)
-and predicts the regenerated target.  Target labels are used only for
-scoring, never for fitting or model selection inputs.
+and predicts the regenerated target.  Fitting and training never see the
+target labels; they are used for scoring, and by ``grid_search`` to flag
+the best (lambda, mu) cell by target UAR.  That flag is the paper's oracle
+selection protocol, not an unsupervised model-selection criterion.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from . import classifier as clf
 from .classifier import LabeledDataset
@@ -26,7 +26,6 @@ class ExperimentConfig:
     penalty_c: float = 1.0
     standardize: bool = False           # per-dimension, fitted on source only
     train_on_regenerated: bool = False  # train on G(X_s) instead of raw X_s
-    seed: int = 0
 
 
 @dataclass
@@ -67,8 +66,11 @@ def _standardizer(x_s: FeatureMatrix):
     return apply
 
 
-def run_experiment(source: LabeledDataset, target: LabeledDataset,
-                   config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
+def prepare_pair(source: LabeledDataset, target: LabeledDataset,
+                 config: ExperimentConfig = ExperimentConfig()) -> tuple:
+    """The solver-independent part of a run, shared by every cell of a grid:
+    (x_s, x_t, resolved kernel, baseline SVM, its report, MMD before adaptation)
+    after optional standardization.  ``config.solver`` is not read."""
     if source.class_names != target.class_names:
         raise ValueError(
             f"class sets differ: {source.class_names} vs {target.class_names}"
@@ -78,14 +80,22 @@ def run_experiment(source: LabeledDataset, target: LabeledDataset,
         scale = _standardizer(x_s)
         x_s, x_t = scale(x_s), scale(x_t)
 
-    k = source.num_classes
     spec = config.kernel.resolved(x_s, x_t)
-
     base_model = clf.train(
         LabeledDataset(x_s, source.labels, source.class_names), config.penalty_c
     )
-    baseline = evaluate(target.labels, clf.predict(base_model, x_t), k,
-                        source.class_names)
+    baseline = evaluate(target.labels, clf.predict(base_model, x_t),
+                        source.num_classes, source.class_names)
+    return x_s, x_t, spec, base_model, baseline, mmd(x_s, x_t, spec)
+
+
+def run_experiment(source: LabeledDataset, target: LabeledDataset,
+                   config: ExperimentConfig = ExperimentConfig(),
+                   pair: tuple | None = None) -> ExperimentResult:
+    """One adapted run; ``pair`` is ``prepare_pair(source, target, config)``,
+    computed here unless given."""
+    x_s, x_t, spec, base_model, baseline, mmd_before = (
+        pair or prepare_pair(source, target, config))
 
     model, trace = fit(x_s, x_t, spec, config.solver)
     regen_t = regenerate(model, x_t)
@@ -97,13 +107,13 @@ def run_experiment(source: LabeledDataset, target: LabeledDataset,
         )
     else:
         adapted_model = base_model
-    adapted = evaluate(target.labels, clf.predict(adapted_model, regen_t), k,
-                       source.class_names)
+    adapted = evaluate(target.labels, clf.predict(adapted_model, regen_t),
+                       source.num_classes, source.class_names)
 
     return ExperimentResult(
         baseline=baseline,
         tsrg=adapted,
-        mmd_before=mmd(x_s, x_t, spec),
+        mmd_before=mmd_before,
         mmd_after=mmd(x_s, regen_t, spec),
         trace=trace,
         model=model,
@@ -123,25 +133,20 @@ class GridRow:
 def grid_search(source: LabeledDataset, target: LabeledDataset,
                 config: ExperimentConfig,
                 lambda_grid: list[float], mu_grid: list[float]) -> list[GridRow]:
-    """One run per (lambda, mu) pair in grid order; the best row (highest
-    UAR, then WAR, earliest on ties) is flagged."""
+    """One run per (lambda, mu) pair in grid order, sharing one ``prepare_pair``.
+
+    The best row (highest target UAR, then WAR, earliest on ties) is flagged.
+    That uses the target labels: it is the paper's oracle selection protocol,
+    and the flag reports the best achievable cell, not a label-free choice.
+    """
     if not lambda_grid or not mu_grid:
         raise ValueError("lambda and mu grids must be non-empty")
+    pair = prepare_pair(source, target, config)
     rows = []
     for lam in lambda_grid:
         for mu in mu_grid:
-            solver = SolverConfig(
-                lam=lam, mu=mu,
-                kappa0=config.solver.kappa0, rho=config.solver.rho,
-                kappa_max=config.solver.kappa_max, epsilon=config.solver.epsilon,
-                max_iters=config.solver.max_iters,
-            )
-            cell = ExperimentConfig(
-                kernel=config.kernel, solver=solver, penalty_c=config.penalty_c,
-                standardize=config.standardize,
-                train_on_regenerated=config.train_on_regenerated, seed=config.seed,
-            )
-            result = run_experiment(source, target, cell)
+            cell = replace(config, solver=replace(config.solver, lam=lam, mu=mu))
+            result = run_experiment(source, target, cell, pair)
             rows.append(GridRow(lam=lam, mu=mu, war=result.tsrg.war,
                                 uar=result.tsrg.uar, result=result))
     best = max(range(len(rows)), key=lambda i: (rows[i].uar, rows[i].war, -i))

@@ -6,6 +6,9 @@ pulled onto the regenerated source mean.  P is learned by an inexact
 augmented Lagrange multiplier loop with an auxiliary variable Q tied to P,
 alternating a ridge-type linear solve for Q, elementwise soft-thresholding
 for P and a running multiplier update.
+The Q-step matrix M has no kappa in it, so a fit eigendecomposes M once and
+each Q-step is V diag(1/(w + kappa/2)) V^T R; with w clipped at 0, kappa > 0
+keeps every shifted eigenvalue positive.
 """
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NonFiniteError, NumericalError
 from .kernels import AugmentedKernels, FeatureMatrix, KernelSpec, build_augmented, gram_matrix
@@ -49,7 +51,6 @@ class SolverState:
     q: np.ndarray
     t: np.ndarray
     kappa: float
-    iter: int = 0
 
 
 @dataclass
@@ -87,13 +88,6 @@ class TsrgModel:
             )
 
 
-def objective(p: np.ndarray, x_s: FeatureMatrix, ak: AugmentedKernels,
-              lam: float, mu: float) -> float:
-    """Full training objective at P: reconstruction + lam*mean-gap + mu*|P|_1."""
-    recon, gap, l1 = objective_terms(p, x_s, ak)
-    return recon + lam * gap + mu * l1
-
-
 def objective_terms(p: np.ndarray, x_s: FeatureMatrix,
                     ak: AugmentedKernels) -> tuple[float, float, float]:
     if p.shape != (ak.n_s + ak.n_t, x_s.d):
@@ -110,21 +104,21 @@ def objective_terms(p: np.ndarray, x_s: FeatureMatrix,
     return recon, gap, l1
 
 
-def _solve_spd(m: np.ndarray, kappa: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (m + kappa/2 I) x = rhs by Cholesky, with jitter escalation."""
-    n = m.shape[0]
-    shifted = m + (kappa / 2.0) * np.eye(n)
-    jitter = 1e-10 * np.trace(m) / n if n else 0.0
-    last_err = None
-    for attempt in range(4):
-        try:
-            c, low = scipy.linalg.cho_factor(shifted, check_finite=False)
-            return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
-        except scipy.linalg.LinAlgError as err:
-            last_err = err
-            shifted = shifted + jitter * np.eye(n)
-            jitter *= 10.0
-    raise NumericalError(f"SPD factorization failed after jitter escalation: {last_err}")
+def _q_system(x_s: FeatureMatrix, ak: AugmentedKernels, lam: float):
+    """Eigendecomposition (w, V) of M = K_s K_s^T + lam dk dk^T, w clipped at 0,
+    and K_s X_s^T, the kappa-free part of the Q-step right-hand side."""
+    m = ak.k_s @ ak.k_s.T + lam * np.outer(ak.delta_k, ak.delta_k)
+    try:
+        w, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"eigendecomposition of the Q-step system failed: {err}") from err
+    return (np.maximum(w, 0.0), v), ak.k_s @ x_s.data.T
+
+
+def _solve_spd(eig, kappa: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (M + kappa/2 I) x = rhs, where eig = (w, V) and M = V diag(w) V^T."""
+    w, v = eig
+    return v @ ((v.T @ rhs) / (w + kappa / 2.0)[:, None])
 
 
 def update_q(state: SolverState, x_s: FeatureMatrix, ak: AugmentedKernels,
@@ -137,9 +131,8 @@ def update_q(state: SolverState, x_s: FeatureMatrix, ak: AugmentedKernels,
     """
     if state.kappa <= 0:
         raise ValueError("kappa must be > 0")
-    m = ak.k_s @ ak.k_s.T + lam * np.outer(ak.delta_k, ak.delta_k)
-    rhs = ak.k_s @ x_s.data.T + (state.kappa * state.p + state.t) / 2.0
-    return _solve_spd(m, state.kappa, rhs)
+    eig, rhs_base = _q_system(x_s, ak, lam)
+    return _solve_spd(eig, state.kappa, rhs_base + (state.kappa * state.p + state.t) / 2.0)
 
 
 def shrink(v: np.ndarray, tau: float) -> np.ndarray:
@@ -175,9 +168,8 @@ def fit(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec,
     n = ak.n_s + ak.n_t
     d = x_s.d
 
-    # system matrix without the kappa shift; re-used across iterations
-    m = ak.k_s @ ak.k_s.T + config.lam * np.outer(ak.delta_k, ak.delta_k)
-    rhs_base = ak.k_s @ x_s.data.T
+    # the system matrix has no kappa in it: one eigendecomposition per fit
+    eig, rhs_base = _q_system(x_s, ak, config.lam)
 
     state = SolverState(
         p=np.zeros((n, d)), q=np.zeros((n, d)), t=np.zeros((n, d)),
@@ -185,13 +177,12 @@ def fit(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec,
     )
     trace = SolverTrace()
     for it in range(config.max_iters):
-        state.q = _solve_spd(m, state.kappa, rhs_base + (state.kappa * state.p + state.t) / 2.0)
+        state.q = _solve_spd(eig, state.kappa, rhs_base + (state.kappa * state.p + state.t) / 2.0)
         state.p = update_p(state.q, state.t, state.kappa, config.mu)
         if not (np.all(np.isfinite(state.p)) and np.all(np.isfinite(state.q))):
             raise NonFiniteError(f"solver iterate became non-finite at iteration {it}")
         feas = float(np.max(np.abs(state.p - state.q))) if n * d else 0.0
         state.t, state.kappa = update_multiplier(state, config.rho, config.kappa_max)
-        state.iter = it + 1
 
         recon, gap, l1 = objective_terms(state.p, x_s, ak)
         trace.records.append(IterationRecord(
@@ -216,14 +207,6 @@ def regenerate(model: TsrgModel, x: FeatureMatrix) -> FeatureMatrix:
         raise DimensionError(f"input dimension {x.d} != anchor dimension {model.anchors.d}")
     k = gram_matrix(model.anchors, x, model.kernel)
     return FeatureMatrix(model.p.T @ k)
-
-
-def fg_residual(model: TsrgModel, ak: AugmentedKernels) -> float:
-    """Squared distance between the regenerated source and target means."""
-    if model.p.shape[0] != ak.n_s + ak.n_t:
-        raise DimensionError("model and augmented kernels disagree on anchor count")
-    g = model.p.T @ ak.delta_k
-    return float(np.dot(g, g))
 
 
 MODEL_FORMAT_VERSION = 1

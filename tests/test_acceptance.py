@@ -14,8 +14,10 @@ from tsrg.kernels import FeatureMatrix, KernelSpec, build_augmented, \
     kernel_eval, mmd
 from tsrg.lbptop import LbpTopParams, VideoClip, extract, uniform_lut
 from tsrg.metrics import report_from_confusion
-from tsrg.solver import SolverConfig, SolverState, fg_residual, fit, \
-    objective, regenerate, update_p, update_q
+from tsrg.solver import SolverConfig, SolverState, fit, regenerate, \
+    update_p, update_q
+
+from oracles import fg_residual, objective
 
 LINEAR = KernelSpec("linear")
 GAUSS = KernelSpec("gaussian", 1.0)

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import tsrg.cli
+import tsrg.experiment
 from tsrg.data import SynthSpec, synth_generate, write_dataset_csv
 from tsrg.experiment import (ExperimentConfig, emit_records, grid_search,
                              parse_records, render_result, run_experiment)
@@ -76,6 +78,28 @@ def test_grid_single_cell_equals_run():
     direct = run_experiment(source, target, config)
     assert rows[0].result.tsrg.to_dict() == direct.tsrg.to_dict()
     assert rows[0].result.baseline.to_dict() == direct.baseline.to_dict()
+    # byte-identical records, once the run record's null lambda and mu and
+    # its missing best flag are filled in
+    record = parse_records(emit_records(direct, "s", "t"))[0]
+    record.update({"lambda": 5.0, "mu": 1e-2, "best": True})
+    assert emit_records(rows, "s", "t") == json.dumps(record, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("regenerated, trains", [(False, 1), (True, 1 + 4)])
+def test_grid_trains_baseline_once_per_pair(monkeypatch, regenerated, trains):
+    calls = []
+    train = tsrg.experiment.clf.train
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(tsrg.experiment.clf, "train", counting)
+    source, target = synth_generate(bench_spec(8))
+    config = ExperimentConfig(train_on_regenerated=regenerated)
+    rows = grid_search(source, target, config, [1.0, 10.0], [1e-3, 1e-2])
+    assert len(rows) == 4
+    assert len(calls) == trains
 
 
 def test_grid_best_row_tie_break():
@@ -202,6 +226,30 @@ class TestCli:
         from tsrg.data import ingest_csv
         data = ingest_csv(out)
         assert data.features.n == 3
+
+    def test_run_writes_nothing_when_a_write_fails(self, monkeypatch, tmp_path,
+                                                   dataset_files):
+        def fail(model, path):
+            raise OSError("disk full")
+        monkeypatch.setattr(tsrg.cli, "save_model", fail)
+        src, tgt = dataset_files
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="disk full"):
+            tsrg.cli.main(["run", "--source", str(src), "--target", str(tgt),
+                           "--seed", "0", "--out-dir", str(out)])
+        assert list(out.iterdir()) == []
+
+    def test_numerical_error_exits_1_without_traceback(self, monkeypatch, capsys,
+                                                      tmp_path, dataset_files):
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        src, tgt = dataset_files
+        status = tsrg.cli.main(["run", "--source", str(src), "--target", str(tgt),
+                                "--seed", "0", "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.startswith("error: eigendecomposition") and "Traceback" not in err
 
     def test_run_rejects_bad_dataset(self, run_cli, tmp_path):
         bad = tmp_path / "bad.csv"

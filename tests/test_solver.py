@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from tsrg.errors import DimensionError, NumericalError
 from tsrg.kernels import FeatureMatrix, KernelSpec, build_augmented, mmd
-from tsrg.solver import (SolverConfig, SolverState, fg_residual, fit,
-                         load_model, objective, objective_terms, regenerate,
-                         save_model, shrink, update_multiplier, update_p,
-                         update_q)
+from tsrg.solver import (SolverConfig, SolverState, fit, load_model,
+                         objective_terms, regenerate, save_model, shrink,
+                         update_multiplier, update_p, update_q)
+
+from oracles import fg_residual, objective
 
 LINEAR = KernelSpec("linear")
 
@@ -117,6 +118,20 @@ class TestUpdateQ:
         m = ak.k_s @ ak.k_s.T + lam * np.outer(ak.delta_k, ak.delta_k) + kappa / 2 * np.eye(2)
         expected = np.linalg.inv(m) @ (ak.k_s @ x_s.data.T)
         np.testing.assert_allclose(update_q(state, x_s, ak, lam), expected, atol=1e-10)
+
+
+class TestSingleSolvePath:
+    @pytest.mark.parametrize("spec", [LINEAR, KernelSpec("gaussian", 1.5)])
+    def test_one_iteration_fit_equals_update_q(self, spec):
+        # with mu=0 the shrink is the identity, so one IALM iteration from the
+        # zero state is exactly one Q-step at kappa0
+        x_s, x_t = random_pair(30, d=4, n_s=7, n_t=5)
+        cfg = SolverConfig(lam=3.0, mu=0.0, max_iters=1)
+        model, _ = fit(x_s, x_t, spec, cfg)
+        zero = np.zeros((12, 4))
+        state = SolverState(p=zero, q=zero.copy(), t=zero.copy(), kappa=cfg.kappa0)
+        q = update_q(state, x_s, build_augmented(x_s, x_t, spec), cfg.lam)
+        assert np.array_equal(model.p, q)
 
 
 class TestUpdateP:
