@@ -7,7 +7,7 @@ regularized along with the weights.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,8 +8,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from .data import (SynthSpec, ingest_csv, ingest_manifest, load_manifest,
                    synth_generate, write_dataset_csv)
 from .errors import TsrgError
@@ -24,15 +22,16 @@ from .solver import SolverConfig, save_model
 def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--source", required=True, help="source dataset CSV")
     p.add_argument("--target", required=True, help="target dataset CSV")
-    p.add_argument("--kernel", choices=["linear", "gaussian"], default="linear")
+    p.add_argument("--kernel", choices=["linear", "gaussian"],
+                   default=ExperimentConfig.kernel.kind)
     p.add_argument("--bandwidth", type=float, default=None,
                    help="gaussian bandwidth (default: median heuristic)")
-    p.add_argument("--kappa0", type=float, default=0.1)
-    p.add_argument("--rho", type=float, default=1.1)
-    p.add_argument("--kappa-max", type=float, default=1e7)
-    p.add_argument("--epsilon", type=float, default=1e-7)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--penalty-c", type=float, default=1.0)
+    p.add_argument("--kappa0", type=float, default=SolverConfig.kappa0)
+    p.add_argument("--rho", type=float, default=SolverConfig.rho)
+    p.add_argument("--kappa-max", type=float, default=SolverConfig.kappa_max)
+    p.add_argument("--epsilon", type=float, default=SolverConfig.epsilon)
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+    p.add_argument("--penalty-c", type=float, default=ExperimentConfig.penalty_c)
     p.add_argument("--standardize", action="store_true",
                    help="per-dimension standardization fitted on source")
     p.add_argument("--train-on-regenerated", action="store_true",
@@ -52,12 +51,14 @@ def _load_datasets(args):
     return source, target
 
 
-def _experiment_config(args, lam: float, mu: float) -> ExperimentConfig:
+def _experiment_config(args, **penalties: float) -> ExperimentConfig:
+    """The run's configuration; ``penalties`` sets lam and mu, which a grid
+    leaves at their defaults for ``grid_search`` to replace per cell."""
     return ExperimentConfig(
         kernel=KernelSpec(args.kernel, args.bandwidth),
-        solver=SolverConfig(lam=lam, mu=mu, kappa0=args.kappa0, rho=args.rho,
+        solver=SolverConfig(kappa0=args.kappa0, rho=args.rho,
                             kappa_max=args.kappa_max, epsilon=args.epsilon,
-                            max_iters=args.max_iters),
+                            max_iters=args.max_iters, **penalties),
         penalty_c=args.penalty_c,
         standardize=args.standardize,
         train_on_regenerated=args.train_on_regenerated,
@@ -75,9 +76,6 @@ def cmd_synth(args) -> int:
     raw = json.loads(Path(args.spec).read_text())
     if args.seed is not None:
         raw["seed"] = args.seed
-    for key in ("centers", "shift_matrix", "shift_offset"):
-        if raw.get(key) is not None:
-            raw[key] = np.asarray(raw[key], dtype=np.float64)
     spec = SynthSpec(**raw)
     source, target = synth_generate(spec)
     write_dataset_csv(args.out_source, source)
@@ -113,7 +111,7 @@ def _write_outputs(out_dir: str, texts: dict[str, str], model=None) -> None:
 
 def cmd_run(args) -> int:
     source, target = _load_datasets(args)
-    config = _experiment_config(args, args.lam, args.mu)
+    config = _experiment_config(args, lam=args.lam, mu=args.mu)
     result = run_experiment(source, target, config)
     records = emit_records(result, args.source, args.target)
     text = render_result(result, args.source, args.target)
@@ -124,7 +122,7 @@ def cmd_run(args) -> int:
 
 def cmd_grid(args) -> int:
     source, target = _load_datasets(args)
-    config = _experiment_config(args, 1.0, 1e-3)
+    config = _experiment_config(args)
     rows = grid_search(source, target, config,
                        _parse_grid(args.lambda_grid), _parse_grid(args.mu_grid))
     records = emit_records(rows, args.source, args.target)
@@ -166,16 +164,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract LBP-TOP features from clips")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--points", type=int, default=8)
-    p.add_argument("--grids", default="1,2,4,8")
+    p.add_argument("--radius", type=int, default=LbpTopParams.radius)
+    p.add_argument("--points", type=int, default=LbpTopParams.points)
+    p.add_argument("--grids", default=",".join(map(str, LbpTopParams.grids)))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("run", help="run one adaptation experiment")
     _add_experiment_args(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=1e-3)
+    p.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam)
+    p.add_argument("--mu", type=float, default=SolverConfig.mu)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("grid", help="grid search over (lambda, mu)")
@@ -194,7 +192,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TsrgError as err:
+    except (TsrgError, ValueError, OSError) as err:
+        # bad flag values and failed reads or writes end in one line, not a traceback
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -1,14 +1,13 @@
 """Dataset ingestion, label remapping and synthetic shifted-Gaussian data.
 
 Feature files are CSV (header row, one sample per line, label column
-last) or packed little-endian float64 binaries with a JSON sidecar
-header.  A manifest lists per-clip entries for the LBP-TOP path.
+last).  A manifest lists per-clip entries for the LBP-TOP path.
 """
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -113,20 +112,6 @@ def _read_feature_csv(path: Path) -> tuple[np.ndarray, list[str]]:
     return np.asarray(features, dtype=np.float64).T, labels
 
 
-def _read_packed(path: Path) -> np.ndarray:
-    """Little-endian float64 vector with a JSON sidecar giving its length."""
-    sidecar = path.with_suffix(path.suffix + ".json")
-    try:
-        header = json.loads(sidecar.read_text())
-        dim = int(header["dim"])
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as err:
-        raise IngestionError(f"cannot read sidecar for {path}: {err}") from err
-    vec = np.fromfile(path, dtype="<f8")
-    if vec.size != dim:
-        raise IngestionError(f"{path}: expected {dim} values, found {vec.size}")
-    return vec
-
-
 def _read_clip(path: Path) -> VideoClip:
     """Clip directory of numbered images, or a packed raw volume with header."""
     if path.is_dir():
@@ -189,35 +174,25 @@ def ingest_csv(path: str | Path, label_map: dict[str, str | None] | None = None,
 
 
 def ingest_manifest(manifest: DatasetManifest, feature_mode: str = "precomputed",
-                    lbp_params: LbpTopParams | None = None,
-                    label_map: dict[str, str | None] | None = None,
-                    class_names: tuple[str, ...] | None = None) -> LabeledDataset:
-    """Load per-entry feature files or extract LBP-TOP features from clips.
+                    lbp_params: LbpTopParams | None = None) -> LabeledDataset:
+    """Load per-entry feature CSVs or extract LBP-TOP features from clips.
 
     Entry order in the manifest is preserved.
     """
     if not manifest.entries:
         raise EmptyDatasetError(f"manifest {manifest.name!r} has no entries")
-    labels = [e.label for e in manifest.entries]
-    kept = list(range(len(labels)))
-    if label_map is not None:
-        labels, kept = apply_label_map(labels, label_map)
-        if not labels:
-            raise EmptyDatasetError(f"manifest {manifest.name!r}: no samples after mapping")
     vectors = []
-    for i in kept:
-        entry = manifest.entries[i]
+    for entry in manifest.entries:
         path = Path(entry.path)
         if not path.exists():
             raise IngestionError(f"manifest {manifest.name!r}: missing file {path}")
         if feature_mode == "precomputed":
-            if path.suffix == ".csv":
-                feats, row_labels = _read_feature_csv(path)
-                if feats.shape[1] != 1:
-                    raise IngestionError(f"{path}: expected a single feature row")
-                vectors.append(feats[:, 0])
-            else:
-                vectors.append(_read_packed(path))
+            if path.suffix != ".csv":
+                raise IngestionError(f"{path}: precomputed features must be a .csv file")
+            feats, _ = _read_feature_csv(path)
+            if feats.shape[1] != 1:
+                raise IngestionError(f"{path}: expected a single feature row")
+            vectors.append(feats[:, 0])
         elif feature_mode == "lbptop":
             params = lbp_params if lbp_params is not None else LbpTopParams()
             vectors.append(extract(_read_clip(path), params))
@@ -226,7 +201,7 @@ def ingest_manifest(manifest: DatasetManifest, feature_mode: str = "precomputed"
     dims = {v.shape[0] for v in vectors}
     if len(dims) > 1:
         raise DimensionError(f"manifest {manifest.name!r}: mixed feature dimensions {sorted(dims)}")
-    return dataset_from_arrays(np.stack(vectors, axis=1), labels, class_names)
+    return dataset_from_arrays(np.stack(vectors, axis=1), [e.label for e in manifest.entries])
 
 
 def write_dataset_csv(path: str | Path, dataset: LabeledDataset) -> None:

@@ -37,13 +37,13 @@ class ExperimentResult:
     trace: SolverTrace
     model: TsrgModel
 
-    def record(self, source: str = "", target: str = "", method: str = "tsrg",
+    def record(self, source: str = "", target: str = "",
                lam: float | None = None, mu: float | None = None) -> dict:
         """One structured line-record for the adapted run (plus baseline)."""
         return {
             "source": source,
             "target": target,
-            "method": method,
+            "method": "tsrg",
             "lambda": lam,
             "mu": mu,
             "baseline": self.baseline.to_dict(),

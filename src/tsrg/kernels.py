@@ -86,23 +86,6 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(aa + bb - 2.0 * (a.T @ b), 0.0)
 
 
-def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
-    """Evaluate the kernel on a single pair of vectors."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise DimensionError(f"kernel arguments differ in dimension: {x.shape} vs {y.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise NonFiniteError("kernel arguments contain NaN/Inf")
-    if spec.kind == "linear":
-        return float(np.dot(x, y))
-    sigma = spec.bandwidth
-    if sigma is None:
-        raise ValueError("gaussian bandwidth unresolved; call spec.resolved(...) first")
-    diff = x - y
-    return float(np.exp(-np.dot(diff, diff) / (2.0 * sigma * sigma)))
-
-
 def gram_matrix(a: FeatureMatrix, b: FeatureMatrix, spec: KernelSpec) -> np.ndarray:
     """Gram matrix of shape a.n x b.n with entries k(a_i, b_j)."""
     if a.d != b.d:
@@ -141,10 +124,6 @@ class AugmentedKernels:
         object.__setattr__(self, "delta_k", delta)
         object.__setattr__(self, "n_s", n_s)
         object.__setattr__(self, "n_t", n_t)
-
-    def full_gram(self) -> np.ndarray:
-        """The (n_s+n_t) x (n_s+n_t) pooled Gram re-assembled from the blocks."""
-        return np.hstack([self.k_s, self.k_t])
 
 
 def build_augmented(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec) -> AugmentedKernels:

@@ -25,7 +25,6 @@ class LbpTopParams:
     radius: int = 3
     points: int = 8
     grids: tuple[int, ...] = (1, 2, 4, 8)
-    uniform: bool = True
 
     def __post_init__(self):
         if self.radius < 1 or self.points < 1:
@@ -36,10 +35,8 @@ class LbpTopParams:
 
     @property
     def num_bins(self) -> int:
-        if self.uniform:
-            # P(P-1) + 2 uniform patterns plus one catch-all bin
-            return self.points * (self.points - 1) + 3
-        return 2 ** self.points
+        # P(P-1) + 2 uniform patterns plus one catch-all bin
+        return self.points * (self.points - 1) + 3
 
     @property
     def feature_length(self) -> int:
@@ -113,32 +110,6 @@ def _bilinear_terms(du: float, dv: float) -> list[tuple[int, int, float]]:
     return terms
 
 
-def lbp_code(plane_patch: np.ndarray, params: LbpTopParams) -> int:
-    """LBP bin for the center pixel of a single 2-D patch.
-
-    The center is the geometric middle of the patch and must be at least
-    `radius` away from every border.
-    """
-    patch = np.asarray(plane_patch, dtype=np.float64)
-    cu, cv = patch.shape[0] // 2, patch.shape[1] // 2
-    r = params.radius
-    if min(cu, cv, patch.shape[0] - 1 - cu, patch.shape[1] - 1 - cv) < r:
-        raise DimensionError("patch too small for the configured radius")
-    center = patch[cu, cv]
-    code = 0
-    for p, (du, dv) in enumerate(_neighbor_offsets(params)):
-        # interpolate the difference from the center so that adding a
-        # constant to all pixels can never flip a bit
-        diff = 0.0
-        for su, sv, wgt in _bilinear_terms(du, dv):
-            diff += wgt * (patch[cu + su, cv + sv] - center)
-        if diff >= 0.0:
-            code |= 1 << p
-    if params.uniform:
-        return int(uniform_lut(params.points)[code])
-    return code
-
-
 def _shifted(vol: np.ndarray, axis_u: int, axis_v: int, su: int, sv: int,
              r: int) -> np.ndarray:
     """Slice `vol` to the valid-center region, displaced by (su, sv) along
@@ -203,12 +174,10 @@ def extract(clip: VideoClip, params: LbpTopParams = LbpTopParams(),
                 f"for a {h}x{w} frame"
             )
 
-    lut = uniform_lut(params.points) if params.uniform else None
+    lut = uniform_lut(params.points)
     nbins = params.num_bins
-    plane_codes = {}
-    for name, au, av in _PLANES:
-        codes = _plane_codes(clip.frames, au, av, params)
-        plane_codes[name] = lut[codes] if lut is not None else codes
+    plane_codes = {name: lut[_plane_codes(clip.frames, au, av, params)]
+                   for name, au, av in _PLANES}
 
     pieces = []
     for g in params.grids:

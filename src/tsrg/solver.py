@@ -121,20 +121,6 @@ def _solve_spd(eig, kappa: float, rhs: np.ndarray) -> np.ndarray:
     return v @ ((v.T @ rhs) / (w + kappa / 2.0)[:, None])
 
 
-def update_q(state: SolverState, x_s: FeatureMatrix, ak: AugmentedKernels,
-             lam: float) -> np.ndarray:
-    """Closed-form ridge solve for Q with P, T, kappa held fixed.
-
-    Minimizes |X_s - Q^T K_s|_F^2 + lam |Q^T dk|^2 + tr[T^T(P-Q)]
-    + kappa/2 |P-Q|_F^2, i.e.
-    Q = (K_s K_s^T + lam dk dk^T + kappa/2 I)^-1 (K_s X_s^T + (kappa P + T)/2).
-    """
-    if state.kappa <= 0:
-        raise ValueError("kappa must be > 0")
-    eig, rhs_base = _q_system(x_s, ak, lam)
-    return _solve_spd(eig, state.kappa, rhs_base + (state.kappa * state.p + state.t) / 2.0)
-
-
 def shrink(v: np.ndarray, tau: float) -> np.ndarray:
     """Soft-threshold: sign(v) * max(|v| - tau, 0)."""
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
@@ -177,6 +163,8 @@ def fit(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec,
     )
     trace = SolverTrace()
     for it in range(config.max_iters):
+        # Q = (M + kappa/2 I)^-1 (K_s X_s^T + (kappa P + T)/2), the minimizer of
+        # |X_s - Q^T K_s|^2 + lam |Q^T dk|^2 + tr[T^T(P-Q)] + kappa/2 |P-Q|^2
         state.q = _solve_spd(eig, state.kappa, rhs_base + (state.kappa * state.p + state.t) / 2.0)
         state.p = update_p(state.q, state.t, state.kappa, config.mu)
         if not (np.all(np.isfinite(state.p)) and np.all(np.isfinite(state.q))):

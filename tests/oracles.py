@@ -1,9 +1,10 @@
 """Reference quantities the package itself never computes, kept for the tests."""
 import numpy as np
 
-from tsrg.errors import DimensionError
-from tsrg.kernels import AugmentedKernels, FeatureMatrix
-from tsrg.solver import TsrgModel, objective_terms
+from tsrg.errors import DimensionError, NonFiniteError
+from tsrg.kernels import AugmentedKernels, FeatureMatrix, KernelSpec
+from tsrg.lbptop import LbpTopParams, _bilinear_terms, _neighbor_offsets, uniform_lut
+from tsrg.solver import SolverState, TsrgModel, _q_system, _solve_spd, objective_terms
 
 
 def objective(p: np.ndarray, x_s: FeatureMatrix, ak: AugmentedKernels,
@@ -19,3 +20,64 @@ def fg_residual(model: TsrgModel, ak: AugmentedKernels) -> float:
         raise DimensionError("model and augmented kernels disagree on anchor count")
     g = model.p.T @ ak.delta_k
     return float(np.dot(g, g))
+
+
+def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
+    """Evaluate the kernel on a single pair of vectors."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if x.shape != y.shape:
+        raise DimensionError(f"kernel arguments differ in dimension: {x.shape} vs {y.shape}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise NonFiniteError("kernel arguments contain NaN/Inf")
+    if spec.kind == "linear":
+        return float(np.dot(x, y))
+    sigma = spec.bandwidth
+    if sigma is None:
+        raise ValueError("gaussian bandwidth unresolved; call spec.resolved(...) first")
+    diff = x - y
+    return float(np.exp(-np.dot(diff, diff) / (2.0 * sigma * sigma)))
+
+
+def full_gram(ak: AugmentedKernels) -> np.ndarray:
+    """The (n_s+n_t) x (n_s+n_t) pooled Gram re-assembled from the blocks."""
+    return np.hstack([ak.k_s, ak.k_t])
+
+
+def update_q(state: SolverState, x_s: FeatureMatrix, ak: AugmentedKernels,
+             lam: float) -> np.ndarray:
+    """Closed-form ridge solve for Q with P, T, kappa held fixed.
+
+    Minimizes |X_s - Q^T K_s|_F^2 + lam |Q^T dk|^2 + tr[T^T(P-Q)]
+    + kappa/2 |P-Q|_F^2, i.e.
+    Q = (K_s K_s^T + lam dk dk^T + kappa/2 I)^-1 (K_s X_s^T + (kappa P + T)/2),
+    through the same eigendecomposition and solve as ``fit``.
+    """
+    if state.kappa <= 0:
+        raise ValueError("kappa must be > 0")
+    eig, rhs_base = _q_system(x_s, ak, lam)
+    return _solve_spd(eig, state.kappa, rhs_base + (state.kappa * state.p + state.t) / 2.0)
+
+
+def lbp_code(plane_patch: np.ndarray, params: LbpTopParams) -> int:
+    """Uniform LBP bin for the center pixel of a single 2-D patch.
+
+    The center is the geometric middle of the patch and must be at least
+    `radius` away from every border.
+    """
+    patch = np.asarray(plane_patch, dtype=np.float64)
+    cu, cv = patch.shape[0] // 2, patch.shape[1] // 2
+    r = params.radius
+    if min(cu, cv, patch.shape[0] - 1 - cu, patch.shape[1] - 1 - cv) < r:
+        raise DimensionError("patch too small for the configured radius")
+    center = patch[cu, cv]
+    code = 0
+    for p, (du, dv) in enumerate(_neighbor_offsets(params)):
+        # interpolate the difference from the center so that adding a
+        # constant to all pixels can never flip a bit
+        diff = 0.0
+        for su, sv, wgt in _bilinear_terms(du, dv):
+            diff += wgt * (patch[cu + su, cv + sv] - center)
+        if diff >= 0.0:
+            code |= 1 << p
+    return int(uniform_lut(params.points)[code])

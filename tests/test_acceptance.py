@@ -10,14 +10,12 @@ import numpy as np
 from tsrg.data import DatasetManifest, ManifestEntry, SynthSpec, \
     apply_label_map, synth_generate, write_dataset_csv
 from tsrg.experiment import ExperimentConfig, grid_search
-from tsrg.kernels import FeatureMatrix, KernelSpec, build_augmented, \
-    kernel_eval, mmd
+from tsrg.kernels import FeatureMatrix, KernelSpec, build_augmented, mmd
 from tsrg.lbptop import LbpTopParams, VideoClip, extract, uniform_lut
 from tsrg.metrics import report_from_confusion
-from tsrg.solver import SolverConfig, SolverState, fit, regenerate, \
-    update_p, update_q
+from tsrg.solver import SolverConfig, SolverState, fit, regenerate, update_p
 
-from oracles import fg_residual, objective
+from oracles import fg_residual, kernel_eval, objective, update_q
 
 LINEAR = KernelSpec("linear")
 GAUSS = KernelSpec("gaussian", 1.0)

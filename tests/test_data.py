@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,15 @@ class TestManifest:
     def test_empty_manifest(self):
         manifest = DatasetManifest(name="empty", entries=())
         with pytest.raises(EmptyDatasetError):
+            ingest_manifest(manifest)
+
+    def test_non_csv_precomputed_entry_rejected(self, tmp_path):
+        # a float64 vector with a length sidecar, bytes that are not UTF-8
+        path = tmp_path / "x.bin"
+        np.arange(4.0).tofile(path)
+        (tmp_path / "x.bin.json").write_text('{"dim": 4}')
+        manifest = DatasetManifest(name="bin", entries=(ManifestEntry(str(path), "a"),))
+        with pytest.raises(IngestionError, match=re.escape(f"{path}: ") + ".*csv"):
             ingest_manifest(manifest)
 
     def test_missing_file_named(self, tmp_path):

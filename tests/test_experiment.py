@@ -227,17 +227,43 @@ class TestCli:
         data = ingest_csv(out)
         assert data.features.n == 3
 
-    def test_run_writes_nothing_when_a_write_fails(self, monkeypatch, tmp_path,
+    def test_run_writes_nothing_when_a_write_fails(self, monkeypatch, capsys, tmp_path,
                                                    dataset_files):
         def fail(model, path):
             raise OSError("disk full")
         monkeypatch.setattr(tsrg.cli, "save_model", fail)
         src, tgt = dataset_files
         out = tmp_path / "out"
-        with pytest.raises(OSError, match="disk full"):
-            tsrg.cli.main(["run", "--source", str(src), "--target", str(tgt),
-                           "--seed", "0", "--out-dir", str(out)])
+        status = tsrg.cli.main(["run", "--source", str(src), "--target", str(tgt),
+                                "--seed", "0", "--out-dir", str(out)])
+        assert status == 1
+        assert capsys.readouterr().err == "error: disk full\n"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["grid", "--lambda-grid", "abc", "--mu-grid", "0.001"],
+         "could not convert string to float: 'abc'"),
+        (["run", "--rho", "1"], "rho must be > 1"),
+    ], ids=["grid-bad-lambda-grid", "run-bad-rho"])
+    def test_bad_flag_value_exits_1_without_traceback(self, capsys, tmp_path,
+                                                      dataset_files, argv, message):
+        src, tgt = dataset_files
+        status = tsrg.cli.main([*argv, "--source", str(src), "--target", str(tgt),
+                                "--seed", "0", "--out-dir", str(tmp_path / "o")])
+        assert status == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_synth_into_missing_directory_exits_1(self, capsys, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"classes": 2, "dim": 3, "seed": 0}))
+        missing = tmp_path / "missing" / "s.csv"
+        status = tsrg.cli.main(["synth", "--spec", str(spec_path),
+                                "--out-source", str(missing),
+                                "--out-target", str(tmp_path / "t.csv")])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.startswith("error: ") and str(missing) in err
 
     def test_numerical_error_exits_1_without_traceback(self, monkeypatch, capsys,
                                                       tmp_path, dataset_files):

@@ -3,7 +3,9 @@ import pytest
 
 from tsrg.errors import ClipTooSmall, DimensionError, NonFiniteError
 from tsrg.lbptop import (LbpTopParams, VideoClip, _block_bounds, _PLANES,
-                         circular_transitions, extract, lbp_code, uniform_lut)
+                         circular_transitions, extract, uniform_lut)
+
+from oracles import lbp_code
 
 DEFAULT = LbpTopParams()
 SMALL = LbpTopParams(grids=(1, 2))

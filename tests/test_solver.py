@@ -7,9 +7,9 @@ from tsrg.errors import DimensionError, NumericalError
 from tsrg.kernels import FeatureMatrix, KernelSpec, build_augmented, mmd
 from tsrg.solver import (SolverConfig, SolverState, fit, load_model,
                          objective_terms, regenerate, save_model, shrink,
-                         update_multiplier, update_p, update_q)
+                         update_multiplier, update_p)
 
-from oracles import fg_residual, objective
+from oracles import fg_residual, kernel_eval, objective, update_q
 
 LINEAR = KernelSpec("linear")
 
@@ -275,7 +275,6 @@ class TestRegenerate:
         model, _ = fit(x_s, x_t, LINEAR, SolverConfig(lam=1.0, mu=0.01))
         x = FeatureMatrix(np.random.default_rng(19).standard_normal((3, 1)))
         out = regenerate(model, x).data[:, 0]
-        from tsrg.kernels import kernel_eval
         k = np.array([kernel_eval(model.anchors.column(a), x.column(0), model.kernel)
                       for a in range(model.anchors.n)])
         expected = np.array([sum(model.p[a, i] * k[a] for a in range(model.anchors.n))
