@@ -2,15 +2,18 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 from .data import (SynthSpec, ingest_csv, ingest_manifest, load_manifest,
                    synth_generate, write_dataset_csv)
-from .errors import TsrgError
+from .errors import SpecError, TsrgError
 from .experiment import (ExperimentConfig, emit_records, grid_search,
                          parse_records, render_result, run_experiment)
 from .kernels import KernelSpec
@@ -74,12 +77,18 @@ def _parse_grid(text: str) -> list[float]:
 
 def cmd_synth(args) -> int:
     raw = json.loads(Path(args.spec).read_text())
+    if not isinstance(raw, dict):
+        raise SpecError(f"{args.spec}: the spec must be a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(SynthSpec)})
+    if unknown:
+        raise SpecError(f"{args.spec}: unknown spec keys: {', '.join(unknown)}")
     if args.seed is not None:
         raw["seed"] = args.seed
-    spec = SynthSpec(**raw)
-    source, target = synth_generate(spec)
-    write_dataset_csv(args.out_source, source)
-    write_dataset_csv(args.out_target, target)
+    source, target = synth_generate(SynthSpec(**raw))
+    _write_files({
+        Path(args.out_source): lambda path: write_dataset_csv(path, source),
+        Path(args.out_target): lambda path: write_dataset_csv(path, target),
+    })
     print(f"wrote {source.features.n} source / {target.features.n} target samples")
     return 0
 
@@ -95,18 +104,32 @@ def cmd_extract(args) -> int:
     return 0
 
 
+def _write_files(writers: dict[Path, Callable[[Path], object]]) -> None:
+    """Write every file or none: each writer fills a file of its destination's
+    name in a temporary directory beside the destination, the files are moved
+    into place once all exist, and the temporary directories go either way."""
+    with contextlib.ExitStack() as stack:
+        staged = {}
+        for dest, write in writers.items():
+            try:
+                tmp_dir = stack.enter_context(tempfile.TemporaryDirectory(dir=dest.parent))
+            except OSError as err:
+                raise OSError(f"cannot write {dest}: {err.strerror or err}") from err
+            staged[dest] = Path(tmp_dir) / dest.name
+            write(staged[dest])
+        for dest, tmp in staged.items():
+            os.replace(tmp, dest)
+
+
 def _write_outputs(out_dir: str, texts: dict[str, str], model=None) -> None:
-    """Write every output or none: the text files (and model.npz) go to a
-    temporary directory in out_dir and are moved into place once all exist."""
+    """Write the text files (and model.npz) into out_dir, all or none."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=out_dir) as tmp:
-        for name, text in texts.items():
-            (Path(tmp) / name).write_text(text)
-        if model is not None:
-            save_model(model, Path(tmp) / "model.npz")
-        for name in os.listdir(tmp):
-            os.replace(Path(tmp) / name, out_dir / name)
+    writers = {out_dir / name: (lambda path, text=text: path.write_text(text))
+               for name, text in texts.items()}
+    if model is not None:
+        writers[out_dir / "model.npz"] = lambda path: save_model(model, path)
+    _write_files(writers)
 
 
 def cmd_run(args) -> int:

@@ -139,15 +139,6 @@ def _read_clip(path: Path) -> VideoClip:
     return VideoClip(vol.reshape(t, h, w))
 
 
-def write_clip(path: str | Path, volume: np.ndarray) -> None:
-    """Write a packed raw clip readable by the ingestion path."""
-    volume = np.asarray(volume, dtype="<f8")
-    t, h, w = volume.shape
-    with open(path, "wb") as fh:
-        fh.write((json.dumps({"t": t, "h": h, "w": w}) + "\n").encode())
-        volume.tofile(fh)
-
-
 def dataset_from_arrays(features: np.ndarray, labels: list[str],
                         class_names: tuple[str, ...] | None = None) -> LabeledDataset:
     """Build a LabeledDataset, deriving class ids from sorted label names."""

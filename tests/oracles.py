@@ -1,10 +1,15 @@
-"""Reference quantities the package itself never computes, kept for the tests."""
+"""Reference computations the package itself never runs, kept for the tests:
+quantities, a step-by-step IALM loop and a writer for packed raw clips."""
+import json
+from pathlib import Path
+
 import numpy as np
 
 from tsrg.errors import DimensionError, NonFiniteError
-from tsrg.kernels import AugmentedKernels, FeatureMatrix, KernelSpec
+from tsrg.kernels import AugmentedKernels, FeatureMatrix, KernelSpec, build_augmented
 from tsrg.lbptop import LbpTopParams, _bilinear_terms, _neighbor_offsets, uniform_lut
-from tsrg.solver import SolverState, TsrgModel, _q_system, _solve_spd, objective_terms
+from tsrg.solver import (SolverConfig, SolverState, TsrgModel, _q_system, _solve_spd,
+                         objective_terms, update_multiplier, update_p)
 
 
 def objective(p: np.ndarray, x_s: FeatureMatrix, ak: AugmentedKernels,
@@ -57,6 +62,38 @@ def update_q(state: SolverState, x_s: FeatureMatrix, ak: AugmentedKernels,
         raise ValueError("kappa must be > 0")
     eig, rhs_base = _q_system(x_s, ak, lam)
     return _solve_spd(eig, state.kappa, rhs_base + (state.kappa * state.p + state.t) / 2.0)
+
+
+def ialm_reference(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec,
+                   config: SolverConfig) -> tuple[np.ndarray, list[float], list[float]]:
+    """The IALM loop spelled out from update_q, update_p and update_multiplier,
+    from P = Q = T = 0; returns the final P and, per iteration, max|P - Q| and
+    the updated kappa."""
+    spec = spec.resolved(x_s, x_t)
+    ak = build_augmented(x_s, x_t, spec)
+    shape = (ak.n_s + ak.n_t, x_s.d)
+    state = SolverState(p=np.zeros(shape), q=np.zeros(shape), t=np.zeros(shape),
+                        kappa=config.kappa0)
+    feasibility, kappa = [], []
+    for _ in range(config.max_iters):
+        state.q = update_q(state, x_s, ak, config.lam)
+        state.p = update_p(state.q, state.t, state.kappa, config.mu)
+        feasibility.append(float(np.max(np.abs(state.p - state.q))))
+        state.t, state.kappa = update_multiplier(state, config.rho, config.kappa_max)
+        kappa.append(state.kappa)
+        if feasibility[-1] < config.epsilon:
+            break
+    return state.p, feasibility, kappa
+
+
+def write_clip(path: str | Path, volume: np.ndarray) -> None:
+    """Write a packed raw clip readable by the ingestion path: a JSON header
+    line with t, h and w, then the voxels as little-endian float64."""
+    volume = np.asarray(volume, dtype="<f8")
+    t, h, w = volume.shape
+    with open(path, "wb") as fh:
+        fh.write((json.dumps({"t": t, "h": h, "w": w}) + "\n").encode())
+        volume.tofile(fh)
 
 
 def lbp_code(plane_patch: np.ndarray, params: LbpTopParams) -> int:

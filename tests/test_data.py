@@ -6,11 +6,12 @@ import pytest
 
 from tsrg.data import (DatasetManifest, ManifestEntry, SynthSpec,
                        apply_label_map, ingest_csv, ingest_manifest,
-                       load_manifest, synth_generate, write_clip,
-                       write_dataset_csv)
+                       load_manifest, synth_generate, write_dataset_csv)
 from tsrg.errors import (DimensionError, EmptyDatasetError, IngestionError,
                          LabelMapError, SpecError)
 from tsrg.kernels import FeatureMatrix, KernelSpec, mmd
+
+from oracles import write_clip
 
 CASME_STYLE_MAP = {
     "Happiness": "Positive",

@@ -210,7 +210,7 @@ class TestCli:
         assert "WAR" in proc.stdout
 
     def test_extract_command(self, run_cli, tmp_path):
-        from tsrg.data import write_clip
+        from oracles import write_clip
         rng = np.random.default_rng(2)
         entries = []
         for i, label in enumerate(["a", "a", "b"]):
@@ -264,6 +264,57 @@ class TestCli:
         err = capsys.readouterr().err
         assert status == 1
         assert err.startswith("error: ") and str(missing) in err
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"classes": 2, "dim": 3, "bogus": 1}, "unknown spec keys: bogus"),
+        ([1, 2], "the spec must be a JSON object"),
+    ], ids=["unknown-key", "not-an-object"])
+    def test_synth_rejects_bad_spec_without_traceback(self, capsys, tmp_path, spec, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        status = tsrg.cli.main(["synth", "--spec", str(spec_path),
+                                "--out-source", str(tmp_path / "s.csv"),
+                                "--out-target", str(tmp_path / "t.csv")])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    def test_synth_writes_neither_csv_into_missing_target_directory(self, capsys, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"classes": 2, "dim": 3, "seed": 0}))
+        out = tmp_path / "out"
+        out.mkdir()
+        status = tsrg.cli.main(["synth", "--spec", str(spec_path),
+                                "--out-source", str(out / "s.csv"),
+                                "--out-target", str(out / "missing" / "t.csv")])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.startswith("error: ") and str(out / "missing" / "t.csv") in err
+        assert list(out.iterdir()) == []
+
+    def test_synth_writes_neither_csv_when_the_second_write_fails(self, monkeypatch,
+                                                                   capsys, tmp_path):
+        write = tsrg.cli.write_dataset_csv
+        calls = []
+
+        def fail_second(path, dataset):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write(path, dataset)
+
+        monkeypatch.setattr(tsrg.cli, "write_dataset_csv", fail_second)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"classes": 2, "dim": 3, "seed": 0}))
+        out = tmp_path / "out"
+        out.mkdir()
+        status = tsrg.cli.main(["synth", "--spec", str(spec_path),
+                                "--out-source", str(out / "s.csv"),
+                                "--out-target", str(out / "t.csv")])
+        assert status == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert list(out.iterdir()) == []
 
     def test_numerical_error_exits_1_without_traceback(self, monkeypatch, capsys,
                                                       tmp_path, dataset_files):
