@@ -1,9 +1,12 @@
 """Linear max-margin multi-class classifier (one-vs-rest hinge loss).
 
-Each binary subproblem is solved in the dual by coordinate descent with a
-fixed sweep order, which makes training deterministic for a fixed data
-order.  The bias is absorbed into an augmented constant feature, so it is
-regularized along with the weights.
+Each binary subproblem is solved in the dual by coordinate descent in Gram
+space (Hsieh et al., ICML 2008): the k problems share one n x n Gram matrix
+of the samples, each epoch visits the coordinates in a permutation drawn
+from a fixed seed, and coordinates stuck at a bound are shrunk out of the
+sweep as in LIBLINEAR.  The seed is fixed, so training is deterministic for
+a fixed data order.  The bias is absorbed into an augmented constant
+feature, so it is regularized along with the weights.
 """
 from __future__ import annotations
 
@@ -45,43 +48,79 @@ class LinearClassifier:
     biases: np.ndarray              # k
     penalty_c: float
     class_names: tuple[str, ...]
+    epochs: tuple[int, ...] = ()       # dual CD epochs per class
+    converged: tuple[bool, ...] = ()   # per class: tol met before max_epochs
 
 
-def _dual_cd_hinge(x_aug: np.ndarray, y: np.ndarray, c: float,
-                   tol: float = 1e-4, max_epochs: int = 1000) -> np.ndarray:
-    """L1-loss SVM dual coordinate descent (fixed sweep order).
+def _dual_cd_hinge(gram: np.ndarray, y: np.ndarray, c: float,
+                   tol: float = 1e-4, max_epochs: int = 1000
+                   ) -> tuple[np.ndarray, int, bool]:
+    """L1-loss SVM dual coordinate descent in Gram space, with shrinking.
 
-    x_aug: (d+1) x n with the constant feature appended; y in {-1, +1}.
-    Returns the augmented weight vector.
+    gram: n x n Gram matrix of the augmented samples; y in {-1, +1}.
+    Keeps u = G(y*alpha), so a coordinate's gradient is y_i u_i - 1 and a
+    step is one axpy on the row G[i].  Each epoch visits the active set in
+    a permutation drawn from a fixed seed.  A coordinate stuck at a bound
+    whose gradient points outside the previous epoch's projected-gradient
+    range leaves the active set (Fan et al., LIBLINEAR, JMLR 2008, sec. 3).
+    Convergence needs an epoch that starts from the full set with
+    max |projected gradient| < tol; an epoch that meets tol on a shrunk
+    set restores the full set instead.
+    Returns (alpha, epochs run, converged).
     """
-    n = x_aug.shape[1]
-    q_diag = np.sum(x_aug * x_aug, axis=0)
-    alpha = np.zeros(n)
-    w = np.zeros(x_aug.shape[0])
-    for _ in range(max_epochs):
-        max_pg = 0.0
-        for i in range(n):
-            g = y[i] * np.dot(w, x_aug[:, i]) - 1.0
+    n = gram.shape[0]
+    rng = np.random.default_rng(0)
+    rows = list(gram)
+    q_diag = gram.diagonal().tolist()
+    y_list = y.tolist()
+    alpha = [0.0] * n
+    u = np.zeros(n)
+    active = np.arange(n)
+    pg_max_old, pg_min_old = np.inf, -np.inf
+    for epoch in range(1, max_epochs + 1):
+        full = active.size == n
+        pg_max, pg_min = -np.inf, np.inf
+        kept = []
+        for i in rng.permutation(active).tolist():
+            yi = y_list[i]
+            g = yi * u.item(i) - 1.0
             a = alpha[i]
             if a <= 0.0:
-                pg = min(g, 0.0)
+                if g > pg_max_old:
+                    continue
+                pg = g if g < 0.0 else 0.0
             elif a >= c:
-                pg = max(g, 0.0)
+                if g < pg_min_old:
+                    continue
+                pg = g if g > 0.0 else 0.0
             else:
                 pg = g
+            kept.append(i)
+            pg_max = pg if pg > pg_max else pg_max
+            pg_min = pg if pg < pg_min else pg_min
             if pg != 0.0:
                 a_new = min(max(a - g / q_diag[i], 0.0), c)
                 if a_new != a:
-                    w += (a_new - a) * y[i] * x_aug[:, i]
+                    u += ((a_new - a) * yi) * rows[i]
                     alpha[i] = a_new
-            max_pg = max(max_pg, abs(pg))
-        if max_pg < tol:
-            break
-    return w
+        if max(pg_max, -pg_min) < tol:
+            if full:
+                return np.array(alpha), epoch, True
+            active = np.arange(n)
+            pg_max_old, pg_min_old = np.inf, -np.inf
+            continue
+        active = np.array(kept, dtype=np.intp)
+        pg_max_old = pg_max if pg_max > 0.0 else np.inf
+        pg_min_old = pg_min if pg_min < 0.0 else -np.inf
+    return np.array(alpha), max_epochs, False
 
 
 def train(data: LabeledDataset, penalty_c: float = 1.0) -> LinearClassifier:
-    """Train one-vs-rest hinge-loss linear classifiers, one per class."""
+    """Train one-vs-rest hinge-loss linear classifiers, one per class.
+
+    The k binary problems share one Gram matrix of the augmented samples;
+    each class's epoch count and convergence flag are kept on the model.
+    """
     if penalty_c <= 0:
         raise ValueError("penalty_c must be > 0")
     k = data.num_classes
@@ -95,15 +134,21 @@ def train(data: LabeledDataset, penalty_c: float = 1.0) -> LinearClassifier:
 
     x = data.features.data
     x_aug = np.vstack([x, np.ones((1, x.shape[1]))])
+    gram = x_aug.T @ x_aug
     weights = np.zeros((k, data.features.d))
     biases = np.zeros(k)
+    epochs, converged = [], []
     for c_idx in range(k):
         y = np.where(data.labels == c_idx, 1.0, -1.0)
-        w_aug = _dual_cd_hinge(x_aug, y, penalty_c)
+        alpha, n_epochs, done = _dual_cd_hinge(gram, y, penalty_c)
+        w_aug = x_aug @ (y * alpha)
         weights[c_idx] = w_aug[:-1]
         biases[c_idx] = w_aug[-1]
-    return LinearClassifier(weights=weights, biases=biases,
-                            penalty_c=penalty_c, class_names=data.class_names)
+        epochs.append(n_epochs)
+        converged.append(done)
+    return LinearClassifier(weights=weights, biases=biases, penalty_c=penalty_c,
+                            class_names=data.class_names, epochs=tuple(epochs),
+                            converged=tuple(converged))
 
 
 def decision_scores(model: LinearClassifier, x: FeatureMatrix) -> np.ndarray:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -222,6 +223,15 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name, kind in (("classes", numbers.Integral), ("dim", numbers.Integral),
+                           ("n_source_per_class", numbers.Integral),
+                           ("n_target_per_class", numbers.Integral),
+                           ("seed", numbers.Integral), ("cov_scale", numbers.Real),
+                           ("center_spread", numbers.Real)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                expected = "an integer" if kind is numbers.Integral else "a number"
+                raise SpecError(f"{name} must be {expected}, not {value!r}")
         if self.classes < 2 or self.dim < 1:
             raise SpecError("need classes >= 2 and dim >= 1")
         if self.n_source_per_class < 2 or self.n_target_per_class < 2:

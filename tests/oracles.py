@@ -1,5 +1,6 @@
 """Reference computations the package itself never runs, kept for the tests:
-quantities, a step-by-step IALM loop and a writer for packed raw clips."""
+quantities, a step-by-step IALM loop, a primal-space SVM solver and a writer
+for packed raw clips."""
 import json
 from pathlib import Path
 
@@ -118,3 +119,36 @@ def lbp_code(plane_patch: np.ndarray, params: LbpTopParams) -> int:
         if diff >= 0.0:
             code |= 1 << p
     return int(uniform_lut(params.points)[code])
+
+
+def dual_cd_reference(x_aug: np.ndarray, y: np.ndarray, c: float,
+                      tol: float = 1e-4, max_epochs: int = 1000) -> np.ndarray:
+    """L1-loss SVM dual coordinate descent (fixed sweep order).
+
+    x_aug: (d+1) x n with the constant feature appended; y in {-1, +1}.
+    Returns the augmented weight vector.
+    """
+    n = x_aug.shape[1]
+    q_diag = np.sum(x_aug * x_aug, axis=0)
+    alpha = np.zeros(n)
+    w = np.zeros(x_aug.shape[0])
+    for _ in range(max_epochs):
+        max_pg = 0.0
+        for i in range(n):
+            g = y[i] * np.dot(w, x_aug[:, i]) - 1.0
+            a = alpha[i]
+            if a <= 0.0:
+                pg = min(g, 0.0)
+            elif a >= c:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            if pg != 0.0:
+                a_new = min(max(a - g / q_diag[i], 0.0), c)
+                if a_new != a:
+                    w += (a_new - a) * y[i] * x_aug[:, i]
+                    alpha[i] = a_new
+            max_pg = max(max_pg, abs(pg))
+        if max_pg < tol:
+            break
+    return w

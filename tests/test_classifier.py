@@ -1,6 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
+import tsrg.classifier
+from oracles import dual_cd_reference
 from tsrg.classifier import LabeledDataset, predict, train
 from tsrg.errors import DimensionError, EmptyClassError
 from tsrg.kernels import FeatureMatrix
@@ -125,3 +129,74 @@ def test_dimension_mismatch_on_predict():
 def test_label_length_mismatch():
     with pytest.raises(DimensionError):
         LabeledDataset(FeatureMatrix(np.ones((2, 3))), np.array([0, 1]), ("a", "b"))
+
+
+def correlated(seed=0, d=200, n=60, k=3):
+    """Every sample is one shared uniform(0,1) column plus 0.2 N(0,1) noise;
+    only 5 rows carry a 0.1 * label signal.  The Gram matrix is nearly rank
+    one, which the fixed-order primal-space reference does not solve within
+    its 1000-epoch cap."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % k
+    x = rng.uniform(0, 1, size=(d, 1)) + 0.2 * rng.standard_normal((d, n))
+    x[:5] += 0.1 * labels
+    return LabeledDataset(FeatureMatrix(x), labels, tuple(f"c{c}" for c in range(k)))
+
+
+def augmented(data):
+    x = data.features.data
+    return np.vstack([x, np.ones((1, x.shape[1]))])
+
+
+def primal_objective(w_aug, x_aug, y, c):
+    return 0.5 * w_aug @ w_aug + c * np.maximum(0.0, 1.0 - y * (w_aug @ x_aug)).sum()
+
+
+def test_every_class_converges_on_correlated_features():
+    model = train(correlated(), penalty_c=1.0)
+    assert model.converged == (True, True, True)
+    assert len(model.epochs) == 3 and all(0 < e < 1000 for e in model.epochs)
+
+
+def test_returned_alpha_meets_kkt_within_tol():
+    data = correlated()
+    x_aug = augmented(data)
+    gram = x_aug.T @ x_aug
+    c, tol = 1.0, 1e-4
+    for cls in range(data.num_classes):
+        y = np.where(data.labels == cls, 1.0, -1.0)
+        alpha, _, converged = tsrg.classifier._dual_cd_hinge(gram, y, c, tol=tol)
+        assert converged
+        assert np.all((alpha >= 0.0) & (alpha <= c))
+        grad = y * (gram @ (y * alpha)) - 1.0
+        pg = np.where(alpha <= 0.0, np.minimum(grad, 0.0),
+                      np.where(alpha >= c, np.maximum(grad, 0.0), grad))
+        assert np.max(np.abs(pg)) < tol
+
+
+def test_primal_objective_no_worse_than_fixed_order_reference():
+    data = correlated()
+    x_aug = augmented(data)
+    model = train(data, penalty_c=1.0)
+    for cls in range(data.num_classes):
+        y = np.where(data.labels == cls, 1.0, -1.0)
+        w_aug = np.append(model.weights[cls], model.biases[cls])
+        reference = dual_cd_reference(x_aug, y, 1.0)
+        assert (primal_objective(w_aug, x_aug, y, 1.0)
+                <= primal_objective(reference, x_aug, y, 1.0))
+
+
+def test_training_on_correlated_features_is_bit_identical():
+    data = correlated()
+    m1, m2 = train(data, penalty_c=1.0), train(data, penalty_c=1.0)
+    np.testing.assert_array_equal(m1.weights, m2.weights)
+    np.testing.assert_array_equal(m1.biases, m2.biases)
+    assert m1.epochs == m2.epochs
+
+
+def test_non_convergence_is_reported_not_raised(monkeypatch):
+    capped = functools.partial(tsrg.classifier._dual_cd_hinge, max_epochs=2)
+    monkeypatch.setattr(tsrg.classifier, "_dual_cd_hinge", capped)
+    model = train(correlated(), penalty_c=1.0)
+    assert model.epochs == (2, 2, 2)
+    assert model.converged == (False, False, False)

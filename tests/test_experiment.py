@@ -268,7 +268,19 @@ class TestCli:
     @pytest.mark.parametrize("spec, message", [
         ({"classes": 2, "dim": 3, "bogus": 1}, "unknown spec keys: bogus"),
         ([1, 2], "the spec must be a JSON object"),
-    ], ids=["unknown-key", "not-an-object"])
+        ({"classes": "2", "dim": 3}, "classes must be an integer, not '2'"),
+        ({"classes": 2, "dim": 3.0}, "dim must be an integer, not 3.0"),
+        ({"classes": 2, "dim": 3, "n_source_per_class": 2.5},
+         "n_source_per_class must be an integer, not 2.5"),
+        ({"classes": 2, "dim": 3, "n_target_per_class": None},
+         "n_target_per_class must be an integer, not None"),
+        ({"classes": 2, "dim": 3, "seed": True}, "seed must be an integer, not True"),
+        ({"classes": 2, "dim": 3, "cov_scale": "1"}, "cov_scale must be a number, not '1'"),
+        ({"classes": 2, "dim": 3, "center_spread": [5]},
+         "center_spread must be a number, not [5]"),
+    ], ids=["unknown-key", "not-an-object", "string-classes", "float-dim",
+            "float-source-count", "null-target-count", "bool-seed", "string-cov-scale",
+            "list-center-spread"])
     def test_synth_rejects_bad_spec_without_traceback(self, capsys, tmp_path, spec, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))

@@ -1,10 +1,16 @@
 """The package surface that outside code relies on: the top-level exports,
-README's library example and every function the benchmark tracer wraps."""
+README's library example and every function the benchmark tracer wraps,
+called as often as the tracer's layers assume."""
 import importlib
 import re
 from pathlib import Path
 
+import numpy as np
+
 import tsrg
+import tsrg.classifier
+from tsrg.classifier import LabeledDataset
+from tsrg.kernels import FeatureMatrix
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -29,3 +35,22 @@ def test_every_tracer_hook_resolves(monkeypatch):
     for path in paths:
         owner, attr = tracer._resolve(path)
         assert callable(getattr(owner, attr)), path
+
+
+def test_train_calls_the_traced_binary_solver_once_per_class(monkeypatch):
+    """The tracer's classifier.binary layer counts one call per binary problem."""
+    solve = tsrg.classifier._dual_cd_hinge
+    grams = []
+
+    def counting(gram, *args, **kwargs):
+        grams.append(gram)
+        return solve(gram, *args, **kwargs)
+
+    monkeypatch.setattr(tsrg.classifier, "_dual_cd_hinge", counting)
+    k, n = 4, 24
+    data = LabeledDataset(FeatureMatrix(np.random.default_rng(0).standard_normal((5, n))),
+                          np.arange(n) % k, tuple("abcd"))
+    tsrg.classifier.train(data, 1.0)
+    assert len(grams) == k
+    assert grams[0].shape == (n, n)
+    assert all(gram is grams[0] for gram in grams)
