@@ -98,7 +98,7 @@ def cmd_extract(args) -> int:
                           grids=tuple(int(g) for g in args.grids.split(",")))
     manifest = load_manifest(args.manifest)
     manifest.validate_counts()
-    dataset = ingest_manifest(manifest, feature_mode="lbptop", lbp_params=params)
+    dataset = ingest_manifest(manifest, params)
     write_dataset_csv(args.out, dataset)
     print(f"wrote {dataset.features.n} feature vectors of length {dataset.features.d}")
     return 0
@@ -152,7 +152,8 @@ def cmd_grid(args) -> int:
     lines = ["  lambda        mu       WAR       UAR"]
     for row in rows:
         flag = "  <- best" if row.best else ""
-        lines.append(f"{row.lam:8g}  {row.mu:8g}  {row.war:8.4f}  {row.uar:8.4f}{flag}")
+        scores = row.result.tsrg
+        lines.append(f"{row.lam:8g}  {row.mu:8g}  {scores.war:8.4f}  {scores.uar:8.4f}{flag}")
     table = "\n".join(lines) + "\n"
     _write_outputs(args.out_dir, {"grid.jsonl": records, "grid.txt": table})
     print(table)
@@ -160,7 +161,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_report(args) -> int:
-    for rec in parse_records(Path(args.records).read_text()):
+    for rec in parse_records(Path(args.records).read_text(), args.records):
         header = f"{rec.get('source', '?')} -> {rec.get('target', '?')}"
         if rec.get("lambda") is not None:
             header += f"  (lambda={rec['lambda']}, mu={rec['mu']})"

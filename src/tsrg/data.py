@@ -1,7 +1,8 @@
 """Dataset ingestion, label remapping and synthetic shifted-Gaussian data.
 
 Feature files are CSV (header row, one sample per line, label column
-last).  A manifest lists per-clip entries for the LBP-TOP path.
+last) and come in through ``ingest_csv``.  A manifest lists clips, which
+``ingest_manifest`` turns into LBP-TOP feature vectors.
 """
 from __future__ import annotations
 
@@ -14,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import LabeledDataset
-from .errors import (DimensionError, EmptyDatasetError, IngestionError,
-                     LabelMapError, SpecError)
+from .errors import EmptyDatasetError, IngestionError, LabelMapError, SpecError
 from .kernels import FeatureMatrix
 from .lbptop import LbpTopParams, VideoClip, extract
 
@@ -61,24 +61,45 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raw = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise IngestionError(f"cannot read manifest {path}: {err}") from err
+    if not isinstance(raw, dict):
+        raise IngestionError(f"{path}: the manifest must be a JSON object")
+    raw_entries = raw.get("entries", [])
+    if not isinstance(raw_entries, list):
+        raise IngestionError(f"{path}: entries must be a list")
+    for i, e in enumerate(raw_entries):
+        if not (isinstance(e, dict) and isinstance(e.get("path"), str)
+                and isinstance(e.get("label"), str)):
+            raise IngestionError(
+                f"{path}: entry {i} must be an object with string path and label")
+    counts = raw.get("expected_counts")
+    if counts is not None and not (isinstance(counts, dict) and all(
+            isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in counts.values())):
+        raise IngestionError(
+            f"{path}: expected_counts must map class names to non-negative integers")
     entries = tuple(
         ManifestEntry(path=e["path"], label=e["label"], subject=str(e.get("subject", "")))
-        for e in raw.get("entries", [])
+        for e in raw_entries
     )
     return DatasetManifest(
         name=raw.get("name", path.stem),
         entries=entries,
-        expected_counts=raw.get("expected_counts"),
+        expected_counts=counts,
     )
 
 
-def apply_label_map(labels: list[str], mapping: dict[str, str | None],
-                    drop_unmapped: bool = False) -> tuple[list[str], list[int]]:
-    """Remap label strings; a None target (or an unmapped label when
-    drop_unmapped is set) drops the sample.
+def apply_label_map(labels: list[str],
+                    mapping: dict[str, str | None]) -> tuple[list[str], list[int]]:
+    """Remap label strings; a None target drops the sample, and a label the
+    map does not name is a ``LabelMapError``.
 
     Returns the new labels and the indices of the kept samples.
     """
+    if not isinstance(mapping, dict):
+        raise LabelMapError(f"a label map must be a JSON object, not {type(mapping).__name__}")
+    for old, new in mapping.items():
+        if not isinstance(old, str) or not (new is None or isinstance(new, str)):
+            raise LabelMapError(f"label map entry {old!r}: {new!r} must map a label "
+                                "to a label or null")
     out, kept = [], []
     for i, lab in enumerate(labels):
         if lab in mapping:
@@ -87,8 +108,6 @@ def apply_label_map(labels: list[str], mapping: dict[str, str | None],
                 continue
             out.append(target)
             kept.append(i)
-        elif drop_unmapped:
-            continue
         else:
             raise LabelMapError(f"label {lab!r} has no mapping and no drop policy")
     return out, kept
@@ -131,9 +150,11 @@ def _read_clip(path: Path) -> VideoClip:
     try:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline().decode())
+            if not isinstance(header, dict):
+                raise IngestionError(f"cannot read clip {path}: the header must be a JSON object")
             t, h, w = int(header["t"]), int(header["h"]), int(header["w"])
             vol = np.fromfile(fh, dtype="<f8", count=t * h * w)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as err:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
         raise IngestionError(f"cannot read clip {path}: {err}") from err
     if vol.size != t * h * w:
         raise IngestionError(f"{path}: truncated clip volume")
@@ -165,11 +186,12 @@ def ingest_csv(path: str | Path, label_map: dict[str, str | None] | None = None,
     return dataset_from_arrays(features, labels, class_names)
 
 
-def ingest_manifest(manifest: DatasetManifest, feature_mode: str = "precomputed",
-                    lbp_params: LbpTopParams | None = None) -> LabeledDataset:
-    """Load per-entry feature CSVs or extract LBP-TOP features from clips.
+def ingest_manifest(manifest: DatasetManifest,
+                    params: LbpTopParams = LbpTopParams()) -> LabeledDataset:
+    """Extract one LBP-TOP feature vector per manifest clip, in entry order.
 
-    Entry order in the manifest is preserved.
+    Precomputed features do not go through a manifest: ``ingest_csv`` reads
+    them from one feature CSV.
     """
     if not manifest.entries:
         raise EmptyDatasetError(f"manifest {manifest.name!r} has no entries")
@@ -178,21 +200,7 @@ def ingest_manifest(manifest: DatasetManifest, feature_mode: str = "precomputed"
         path = Path(entry.path)
         if not path.exists():
             raise IngestionError(f"manifest {manifest.name!r}: missing file {path}")
-        if feature_mode == "precomputed":
-            if path.suffix != ".csv":
-                raise IngestionError(f"{path}: precomputed features must be a .csv file")
-            feats, _ = _read_feature_csv(path)
-            if feats.shape[1] != 1:
-                raise IngestionError(f"{path}: expected a single feature row")
-            vectors.append(feats[:, 0])
-        elif feature_mode == "lbptop":
-            params = lbp_params if lbp_params is not None else LbpTopParams()
-            vectors.append(extract(_read_clip(path), params))
-        else:
-            raise ValueError(f"unknown feature mode {feature_mode!r}")
-    dims = {v.shape[0] for v in vectors}
-    if len(dims) > 1:
-        raise DimensionError(f"manifest {manifest.name!r}: mixed feature dimensions {sorted(dims)}")
+        vectors.append(extract(_read_clip(path), params))
     return dataset_from_arrays(np.stack(vectors, axis=1), [e.label for e in manifest.entries])
 
 

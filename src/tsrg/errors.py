@@ -26,7 +26,7 @@ class ClipTooSmall(TsrgError):
 
 
 class IngestionError(TsrgError):
-    """A dataset manifest or feature file could not be ingested."""
+    """A manifest, feature, clip or record file could not be read."""
 
 
 class EmptyDatasetError(IngestionError):
@@ -34,7 +34,7 @@ class EmptyDatasetError(IngestionError):
 
 
 class LabelMapError(TsrgError):
-    """A label has no mapping and no drop policy."""
+    """A label map is malformed, or a label has no mapping and no drop policy."""
 
 
 class SpecError(TsrgError):

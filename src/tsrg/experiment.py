@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 from . import classifier as clf
 from .classifier import LabeledDataset
+from .errors import IngestionError
 from .kernels import FeatureMatrix, KernelSpec, mmd
 from .metrics import EvalReport, evaluate, render_text
 from .solver import SolverConfig, SolverTrace, TsrgModel, fit, regenerate
@@ -55,17 +56,6 @@ class ExperimentResult:
         }
 
 
-def _standardizer(x_s: FeatureMatrix):
-    mean = x_s.data.mean(axis=1, keepdims=True)
-    std = x_s.data.std(axis=1, keepdims=True)
-    std[std == 0] = 1.0
-
-    def apply(x: FeatureMatrix) -> FeatureMatrix:
-        return FeatureMatrix((x.data - mean) / std)
-
-    return apply
-
-
 def prepare_pair(source: LabeledDataset, target: LabeledDataset,
                  config: ExperimentConfig = ExperimentConfig()) -> tuple:
     """The solver-independent part of a run, shared by every cell of a grid:
@@ -77,8 +67,10 @@ def prepare_pair(source: LabeledDataset, target: LabeledDataset,
         )
     x_s, x_t = source.features, target.features
     if config.standardize:
-        scale = _standardizer(x_s)
-        x_s, x_t = scale(x_s), scale(x_t)
+        mean = x_s.data.mean(axis=1, keepdims=True)
+        std = x_s.data.std(axis=1, keepdims=True)
+        std[std == 0] = 1.0
+        x_s, x_t = (FeatureMatrix((x.data - mean) / std) for x in (x_s, x_t))
 
     spec = config.kernel.resolved(x_s, x_t)
     base_model = clf.train(
@@ -124,8 +116,6 @@ def run_experiment(source: LabeledDataset, target: LabeledDataset,
 class GridRow:
     lam: float
     mu: float
-    war: float
-    uar: float
     result: ExperimentResult
     best: bool = False
 
@@ -147,9 +137,8 @@ def grid_search(source: LabeledDataset, target: LabeledDataset,
         for mu in mu_grid:
             cell = replace(config, solver=replace(config.solver, lam=lam, mu=mu))
             result = run_experiment(source, target, cell, pair)
-            rows.append(GridRow(lam=lam, mu=mu, war=result.tsrg.war,
-                                uar=result.tsrg.uar, result=result))
-    best = max(range(len(rows)), key=lambda i: (rows[i].uar, rows[i].war, -i))
+            rows.append(GridRow(lam=lam, mu=mu, result=result))
+    best = max(range(len(rows)), key=lambda i: (rows[i].result.tsrg.uar, rows[i].result.tsrg.war, -i))
     rows[best].best = True
     return rows
 
@@ -167,8 +156,26 @@ def emit_records(rows_or_result, source_name: str = "", target_name: str = "") -
     return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
 
 
-def parse_records(text: str) -> list[dict]:
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+def parse_records(text: str, name: str = "records") -> list[dict]:
+    """The records of a report or grid file, one JSON object per non-blank
+    line.  A line that is not an object holding the fields ``tsrg report``
+    renders is an ``IngestionError`` naming ``name`` and the line number."""
+    records = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        where = f"{name}:{lineno}"
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise IngestionError(f"{where}: {err}") from err
+        if not isinstance(rec, dict):
+            raise IngestionError(f"{where}: a record must be a JSON object")
+        missing = [k for k in ("baseline", "tsrg", "mmd_before", "mmd_after") if k not in rec]
+        if missing:
+            raise IngestionError(f"{where}: record lacks {', '.join(missing)}")
+        records.append(rec)
+    return records
 
 
 def render_result(result: ExperimentResult, source_name: str = "source",

@@ -7,9 +7,9 @@ import pytest
 from tsrg.data import (DatasetManifest, ManifestEntry, SynthSpec,
                        apply_label_map, ingest_csv, ingest_manifest,
                        load_manifest, synth_generate, write_dataset_csv)
-from tsrg.errors import (DimensionError, EmptyDatasetError, IngestionError,
-                         LabelMapError, SpecError)
+from tsrg.errors import EmptyDatasetError, IngestionError, LabelMapError, SpecError
 from tsrg.kernels import FeatureMatrix, KernelSpec, mmd
+from tsrg.lbptop import LbpTopParams, VideoClip, extract
 
 from oracles import write_clip
 
@@ -33,11 +33,9 @@ class TestLabelMap:
         with pytest.raises(LabelMapError):
             apply_label_map(["Mystery"], CASME_STYLE_MAP)
 
-    def test_unmapped_with_drop_policy(self):
-        mapped, kept = apply_label_map(["Mystery", "Happiness"], CASME_STYLE_MAP,
-                                       drop_unmapped=True)
-        assert mapped == ["Positive"]
-        assert kept == [1]
+    def test_non_string_key_rejected(self):
+        with pytest.raises(LabelMapError, match="label map entry 1: 'a'"):
+            apply_label_map(["a"], {1: "a", "a": "a"})
 
 
 class TestCsvIngestion:
@@ -72,14 +70,21 @@ class TestCsvIngestion:
             ingest_csv(path)
 
 
+SMALL_LBP = LbpTopParams(grids=(1, 2))
+
+
+def clip_volume(i):
+    return np.random.default_rng(i).integers(0, 256, size=(8, 16, 16)).astype(float)
+
+
 def make_manifest(tmp_path, label_counts, expected=None, write_files=True):
     entries = []
     i = 0
     for label, count in label_counts.items():
         for _ in range(count):
-            path = tmp_path / f"s{i:04d}.csv"
+            path = tmp_path / f"s{i:04d}.raw"
             if write_files:
-                path.write_text(f"f0,f1,label\n{i}.0,1.0,{label}\n")
+                write_clip(path, clip_volume(i))
             entries.append(ManifestEntry(path=str(path), label=label, subject=f"subj{i % 5}"))
             i += 1
     return DatasetManifest(name="synthetic", entries=tuple(entries),
@@ -89,10 +94,12 @@ def make_manifest(tmp_path, label_counts, expected=None, write_files=True):
 class TestManifest:
     def test_ingest_precomputed(self, tmp_path):
         manifest = make_manifest(tmp_path, {"a": 2, "b": 3})
-        data = ingest_manifest(manifest)
-        assert data.features.n == 5 and data.features.d == 2
-        # entry order preserved
-        np.testing.assert_array_equal(data.features.data[0], [0, 1, 2, 3, 4])
+        data = ingest_manifest(manifest, SMALL_LBP)
+        assert data.features.n == 5 and data.features.d == SMALL_LBP.feature_length
+        # entry order preserved: column j holds the features of entry j's clip
+        for j in range(5):
+            np.testing.assert_array_equal(data.features.data[:, j],
+                                          extract(VideoClip(clip_volume(j)), SMALL_LBP))
 
     def test_empty_manifest(self):
         manifest = DatasetManifest(name="empty", entries=())
@@ -100,12 +107,22 @@ class TestManifest:
             ingest_manifest(manifest)
 
     def test_non_csv_precomputed_entry_rejected(self, tmp_path):
-        # a float64 vector with a length sidecar, bytes that are not UTF-8
+        # a float64 vector with a length sidecar, bytes that are not UTF-8: not a clip
         path = tmp_path / "x.bin"
         np.arange(4.0).tofile(path)
         (tmp_path / "x.bin.json").write_text('{"dim": 4}')
         manifest = DatasetManifest(name="bin", entries=(ManifestEntry(str(path), "a"),))
-        with pytest.raises(IngestionError, match=re.escape(f"{path}: ") + ".*csv"):
+        with pytest.raises(IngestionError,
+                           match=re.escape(f"cannot read clip {path}: ") + ".*utf-8"):
+            ingest_manifest(manifest)
+
+    @pytest.mark.parametrize("header", [b"[1]", b'{"t": null, "h": 2, "w": 2}'],
+                             ids=["list", "null-size"])
+    def test_clip_header_not_an_object_of_sizes_rejected(self, tmp_path, header):
+        path = tmp_path / "clip.raw"
+        path.write_bytes(header + b"\n" + np.zeros(4).tobytes())
+        manifest = DatasetManifest(name="bad", entries=(ManifestEntry(str(path), "a"),))
+        with pytest.raises(IngestionError, match=re.escape(f"cannot read clip {path}: ")):
             ingest_manifest(manifest)
 
     def test_missing_file_named(self, tmp_path):
@@ -139,6 +156,12 @@ class TestManifest:
         assert manifest.entries[0].label == "a"
         manifest.validate_counts()
 
+    def test_negative_expected_count_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"entries": [], "expected_counts": {"a": -1}}))
+        with pytest.raises(IngestionError, match=re.escape(f"{path}: expected_counts")):
+            load_manifest(path)
+
     def test_lbptop_mode(self, tmp_path):
         from tsrg.lbptop import LbpTopParams
         rng = np.random.default_rng(1)
@@ -149,7 +172,7 @@ class TestManifest:
             entries.append(ManifestEntry(path=str(path), label=label))
         manifest = DatasetManifest(name="clips", entries=tuple(entries))
         params = LbpTopParams(grids=(1, 2))
-        data = ingest_manifest(manifest, feature_mode="lbptop", lbp_params=params)
+        data = ingest_manifest(manifest, params)
         assert data.features.d == params.feature_length
         assert data.features.n == 3
 
@@ -198,16 +221,3 @@ class TestSynth:
         s, t = synth_generate(SynthSpec(shift_offset=b, seed=1))
         assert t.features.data.mean() > 50
         assert abs(s.features.data.mean()) < 5
-
-
-def test_mixed_feature_dimensions_rejected(tmp_path):
-    p1 = tmp_path / "a.csv"
-    p1.write_text("f0,f1,label\n1,2,a\n")
-    p2 = tmp_path / "b.csv"
-    p2.write_text("f0,f1,f2,label\n1,2,3,b\n")
-    manifest = DatasetManifest(name="mixed", entries=(
-        ManifestEntry(path=str(p1), label="a"),
-        ManifestEntry(path=str(p2), label="b"),
-    ))
-    with pytest.raises(DimensionError):
-        ingest_manifest(manifest)

@@ -108,7 +108,8 @@ def test_grid_best_row_tie_break():
     source, target = synth_generate(SynthSpec(seed=4))
     config = ExperimentConfig(solver=SolverConfig(lam=1.0, mu=1e-3))
     rows = grid_search(source, target, config, [1.0, 1.0], [1e-3])
-    assert rows[0].uar == rows[1].uar and rows[0].war == rows[1].war
+    assert (rows[0].result.tsrg.uar == rows[1].result.tsrg.uar
+            and rows[0].result.tsrg.war == rows[1].result.tsrg.war)
     assert rows[0].best and not rows[1].best
 
 
@@ -226,6 +227,61 @@ class TestCli:
         from tsrg.data import ingest_csv
         data = ingest_csv(out)
         assert data.features.n == 3
+
+    @pytest.mark.parametrize("manifest, message", [
+        ([1, 2], "the manifest must be a JSON object"),
+        ({"entries": {"a": 1}}, "entries must be a list"),
+        ({"entries": [1]}, "entry 0 must be an object with string path and label"),
+        ({"entries": [{"label": "a"}]}, "entry 0 must be an object with string path and label"),
+        ({"entries": [{"path": "x.raw"}]},
+         "entry 0 must be an object with string path and label"),
+        ({"entries": [{"path": "x.raw", "label": "a"}], "expected_counts": {"a": "1"}},
+         "expected_counts must map class names to non-negative integers"),
+    ], ids=["not-an-object", "entries-object", "entry-not-object", "entry-without-path",
+            "entry-without-label", "string-count"])
+    def test_extract_rejects_bad_manifest_without_traceback(self, capsys, tmp_path,
+                                                            manifest, message):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        status = tsrg.cli.main(["extract", "--manifest", str(path),
+                                "--out", str(tmp_path / "f.csv")])
+        assert status == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("label_map, message", [
+        (["a"], "a label map must be a JSON object, not list"),
+        ({"a": 3, "b": "x"}, "label map entry 'a': 3 must map a label to a label or null"),
+        ({"a": "y", "b": ["x"]},
+         "label map entry 'b': ['x'] must map a label to a label or null"),
+    ], ids=["list", "int-target", "list-target"])
+    def test_run_rejects_bad_label_map_without_traceback(self, capsys, tmp_path,
+                                                         label_map, message):
+        data = tmp_path / "data.csv"
+        data.write_text("f0,f1,label\n0,1,a\n1,0,b\n0,2,a\n2,0,b\n")
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps(label_map))
+        status = tsrg.cli.main(["run", "--source", str(data), "--target", str(data),
+                                "--label-map", str(map_path),
+                                "--seed", "0", "--out-dir", str(tmp_path / "o")])
+        assert status == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("[1]", "a record must be a JSON object"),
+        ('{"tsrg": {}, "mmd_after": 0.5}', "record lacks baseline, mmd_before"),
+        ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ], ids=["not-an-object", "missing-fields", "not-json"])
+    def test_report_rejects_malformed_record_without_traceback(self, capsys, tmp_path,
+                                                               line, message):
+        records = tmp_path / "report.jsonl"
+        records.write_text("\n" + line + "\n")
+        status = tsrg.cli.main(["report", "--records", str(records)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.err == f"error: {records}:2: {message}\n"
+        assert captured.out == ""
 
     def test_run_writes_nothing_when_a_write_fails(self, monkeypatch, capsys, tmp_path,
                                                    dataset_files):
