@@ -152,9 +152,12 @@ def _read_clip(path: Path) -> VideoClip:
             header = json.loads(fh.readline().decode())
             if not isinstance(header, dict):
                 raise IngestionError(f"cannot read clip {path}: the header must be a JSON object")
-            t, h, w = int(header["t"]), int(header["h"]), int(header["w"])
+            t, h, w = header["t"], header["h"], header["w"]
+            if not all(isinstance(s, int) and not isinstance(s, bool) and s > 0 for s in (t, h, w)):
+                raise IngestionError(
+                    f"cannot read clip {path}: t, h and w must be positive integers")
             vol = np.fromfile(fh, dtype="<f8", count=t * h * w)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError) as err:
         raise IngestionError(f"cannot read clip {path}: {err}") from err
     if vol.size != t * h * w:
         raise IngestionError(f"{path}: truncated clip volume")

@@ -159,7 +159,8 @@ def emit_records(rows_or_result, source_name: str = "", target_name: str = "") -
 def parse_records(text: str, name: str = "records") -> list[dict]:
     """The records of a report or grid file, one JSON object per non-blank
     line.  A line that is not an object holding the fields ``tsrg report``
-    renders is an ``IngestionError`` naming ``name`` and the line number."""
+    renders, with the types it renders them as, is an ``IngestionError``
+    naming ``name`` and the line number."""
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -172,10 +173,52 @@ def parse_records(text: str, name: str = "records") -> list[dict]:
         if not isinstance(rec, dict):
             raise IngestionError(f"{where}: a record must be a JSON object")
         missing = [k for k in ("baseline", "tsrg", "mmd_before", "mmd_after") if k not in rec]
+        if rec.get("lambda") is not None and "mu" not in rec:
+            missing.append("mu")
         if missing:
             raise IngestionError(f"{where}: record lacks {', '.join(missing)}")
+        for key in ("baseline", "tsrg"):
+            problem = _report_problem(rec[key])
+            if problem:
+                raise IngestionError(f"{where}: {key} {problem}")
+        for key in ("mmd_before", "mmd_after"):
+            if not _is_real(rec[key]):
+                raise IngestionError(f"{where}: {key} must be a number")
         records.append(rec)
     return records
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    # EvalReport.from_dict reads counts as int64
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2 ** 63
+
+
+def _report_problem(rep) -> str | None:
+    """Why an ``EvalReport.to_dict`` record cannot be rendered, or None."""
+    if not isinstance(rep, dict):
+        return "must be a JSON object"
+    missing = [k for k in ("confusion", "war", "uar", "class_names", "absent_classes")
+               if k not in rep]
+    if missing:
+        return f"lacks {', '.join(missing)}"
+    names, conf = rep["class_names"], rep["confusion"]
+    if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
+        return "class_names must be a non-empty list of strings"
+    k = len(names)
+    if not (isinstance(conf, list) and len(conf) == k
+            and all(isinstance(row, list) and len(row) == k
+                    and all(_is_count(c) for c in row) for row in conf)):
+        return f"confusion must be a {k} x {k} list of counts"
+    if not (_is_real(rep["war"]) and _is_real(rep["uar"])):
+        return "war and uar must be numbers"
+    if not (isinstance(rep["absent_classes"], list)
+            and all(_is_count(i) and i < k for i in rep["absent_classes"])):
+        return f"absent_classes must be a list of class ids below {k}"
+    return None
 
 
 def render_result(result: ExperimentResult, source_name: str = "source",

@@ -8,7 +8,11 @@ alternating a ridge-type linear solve for Q, elementwise soft-thresholding
 for P and a running multiplier update.
 The Q-step matrix M has no kappa in it, so a fit eigendecomposes M once and
 each Q-step is V diag(1/(w + kappa/2)) V^T R; with w clipped at 0, kappa > 0
-keeps every shifted eigenvalue positive.
+keeps every shifted eigenvalue positive.  For n anchors and d feature columns
+in R, the product is taken right to left, V((V^T R)/(w + kappa/2)) at 2n^2 d
+flops, when d <= n, and through the n x n operator (V/(w + kappa/2)) V^T, at
+n^3 + n^2 d, when d > n.  kappa changes every iteration, so the operator is
+rebuilt per Q-step.
 """
 from __future__ import annotations
 
@@ -112,8 +116,15 @@ def _q_system(x_s: FeatureMatrix, ak: AugmentedKernels, lam: float):
 
 
 def _solve_spd(eig, kappa: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (M + kappa/2 I) x = rhs, where eig = (w, V) and M = V diag(w) V^T."""
+    """Solve (M + kappa/2 I) x = rhs, where eig = (w, V) and M = V diag(w) V^T.
+
+    With n = len(w) and d = rhs.shape[1]: for d <= n, V((V^T rhs)/(w + kappa/2))
+    costs 2n^2 d flops; for d > n, forming S = (V/(w + kappa/2)) V^T once and
+    returning S rhs costs n^3 + n^2 d, which is less.
+    """
     w, v = eig
+    if rhs.shape[1] > len(w):
+        return (v / (w + kappa / 2.0)) @ v.T @ rhs
     return v @ ((v.T @ rhs) / (w + kappa / 2.0)[:, None])
 
 

@@ -125,6 +125,18 @@ class TestManifest:
         with pytest.raises(IngestionError, match=re.escape(f"cannot read clip {path}: ")):
             ingest_manifest(manifest)
 
+    @pytest.mark.parametrize("sizes", [{"t": 1.7}, {"t": 0}, {"t": -1}, {"h": True},
+                                       {"w": "2"}],
+                             ids=["fractional", "zero", "negative", "bool", "string"])
+    def test_clip_sizes_must_be_positive_integers(self, tmp_path, sizes):
+        path = tmp_path / "clip.raw"
+        header = json.dumps({"t": 1, "h": 2, "w": 2, **sizes}).encode()
+        path.write_bytes(header + b"\n" + np.zeros(4).tobytes())
+        manifest = DatasetManifest(name="bad", entries=(ManifestEntry(str(path), "a"),))
+        with pytest.raises(IngestionError, match=re.escape(
+                f"cannot read clip {path}: t, h and w must be positive integers")):
+            ingest_manifest(manifest)
+
     def test_missing_file_named(self, tmp_path):
         manifest = make_manifest(tmp_path, {"a": 2}, write_files=False)
         with pytest.raises(IngestionError, match="missing file"):

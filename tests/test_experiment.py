@@ -283,6 +283,42 @@ class TestCli:
         assert captured.err == f"error: {records}:2: {message}\n"
         assert captured.out == ""
 
+    GOOD_REPORT = {"class_names": ["a", "b"], "confusion": [[2, 0], [1, 1]],
+                   "war": 0.75, "uar": 0.75, "absent_classes": []}
+
+    @pytest.mark.parametrize("change, message", [
+        ({"baseline": 1}, "baseline must be a JSON object"),
+        ({"tsrg": {"war": 0.5}}, "tsrg lacks confusion, uar, class_names, absent_classes"),
+        ({"baseline": dict(GOOD_REPORT, class_names=["a", 2])},
+         "baseline class_names must be a non-empty list of strings"),
+        ({"tsrg": dict(GOOD_REPORT, confusion=[[2, 0]])},
+         "tsrg confusion must be a 2 x 2 list of counts"),
+        ({"tsrg": dict(GOOD_REPORT, confusion=[[2, 0], [1.5, 1]])},
+         "tsrg confusion must be a 2 x 2 list of counts"),
+        ({"tsrg": dict(GOOD_REPORT, confusion=[[2, 0], [2 ** 63, 1]])},
+         "tsrg confusion must be a 2 x 2 list of counts"),
+        ({"baseline": dict(GOOD_REPORT, uar=None)}, "baseline war and uar must be numbers"),
+        ({"baseline": dict(GOOD_REPORT, absent_classes=[2])},
+         "baseline absent_classes must be a list of class ids below 2"),
+        ({"mmd_before": None}, "mmd_before must be a number"),
+        ({"mmd_after": True}, "mmd_after must be a number"),
+        ({"lambda": 1.0}, "record lacks mu"),
+    ], ids=["baseline-int", "report-lacks-fields", "class-name-int", "confusion-shape",
+            "confusion-float", "confusion-overflow", "uar-null", "absent-out-of-range",
+            "mmd-null", "mmd-bool", "lambda-without-mu"])
+    def test_report_rejects_mistyped_record_without_traceback(self, capsys, tmp_path,
+                                                              change, message):
+        # an int mmd_before is a number: each case fails on its own change only
+        record = {"baseline": self.GOOD_REPORT, "tsrg": self.GOOD_REPORT,
+                  "mmd_before": 1, "mmd_after": 0.5, **change}
+        records = tmp_path / "report.jsonl"
+        records.write_text(json.dumps(record) + "\n")
+        status = tsrg.cli.main(["report", "--records", str(records)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.err == f"error: {records}:1: {message}\n"
+        assert captured.out == ""
+
     def test_run_writes_nothing_when_a_write_fails(self, monkeypatch, capsys, tmp_path,
                                                    dataset_files):
         def fail(model, path):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from tsrg.errors import DimensionError, NumericalError
 from tsrg.kernels import FeatureMatrix, KernelSpec, build_augmented, mmd
-from tsrg.solver import (SolverConfig, SolverState, fit, load_model,
-                         objective_terms, regenerate, save_model, shrink,
-                         update_multiplier, update_p)
+from tsrg.solver import (SolverConfig, SolverState, _q_system, _solve_spd, fit,
+                         load_model, objective_terms, regenerate, save_model,
+                         shrink, update_multiplier, update_p)
 
 from oracles import fg_residual, kernel_eval, objective, update_q
 
@@ -132,6 +132,40 @@ class TestSingleSolvePath:
         state = SolverState(p=zero, q=zero.copy(), t=zero.copy(), kappa=cfg.kappa0)
         q = update_q(state, x_s, build_augmented(x_s, x_t, spec), cfg.lam)
         assert np.array_equal(model.p, q)
+
+
+class TestSolveSpd:
+    """The Q-step solve on the system a fit builds, with n = 12 + 10 anchors."""
+
+    KAPPAS = [0.1, 1.0, 1e3, 1e7]
+
+    @staticmethod
+    def system(kind, d, lam=1.0):
+        x_s, x_t = random_pair(40, d=d, n_s=12, n_t=10)
+        ak = build_augmented(x_s, x_t, KernelSpec(kind).resolved(x_s, x_t))
+        eig, rhs_base = _q_system(x_s, ak, lam)
+        m = ak.k_s @ ak.k_s.T + lam * np.outer(ak.delta_k, ak.delta_k)
+        rhs = rhs_base + np.random.default_rng(41).standard_normal(rhs_base.shape)
+        return eig, m, rhs
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("kind", ["linear", "gaussian"])
+    def test_operator_form_residual_when_d_exceeds_n(self, kind, kappa):
+        eig, m, rhs = self.system(kind, d=60)
+        w, _ = eig
+        q = _solve_spd(eig, kappa, rhs)
+        resid = np.linalg.norm((m + kappa / 2 * np.eye(len(w))) @ q - rhs) / np.linalg.norm(rhs)
+        # backward-stable solve: relative residual within n eps cond(M + kappa/2 I)
+        cond = (w.max() + kappa / 2) / (w.min() + kappa / 2)
+        assert resid <= len(w) * np.finfo(float).eps * cond
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("d", [5, 22], ids=["d<n", "d=n"])
+    def test_right_to_left_form_unchanged_when_d_at_most_n(self, d, kappa):
+        eig, _, rhs = self.system("gaussian", d=d)
+        w, v = eig
+        assert np.array_equal(_solve_spd(eig, kappa, rhs),
+                              v @ ((v.T @ rhs) / (w + kappa / 2.0)[:, None]))
 
 
 class TestUpdateP:

@@ -18,9 +18,11 @@ def shifted_pair(seed, d=5, n_s=12, n_t=10):
 
 @pytest.mark.parametrize("kind", ["linear", "gaussian"])
 @pytest.mark.parametrize("lam, mu", [(1.0, 1e-3), (10.0, 0.05)])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_fit_equals_reference_loop_bit_for_bit(kind, lam, mu, seed):
-    x_s, x_t = shifted_pair(seed)
+# d=40 > n=22 anchors takes _solve_spd's operator form, d=5 its right-to-left form
+@pytest.mark.parametrize("seed, d", [(0, 5), (1, 5), (2, 5), (0, 40), (1, 40)],
+                         ids=["0", "1", "2", "0-d40", "1-d40"])
+def test_fit_equals_reference_loop_bit_for_bit(kind, lam, mu, seed, d):
+    x_s, x_t = shifted_pair(seed, d=d)
     config = SolverConfig(lam=lam, mu=mu)
     model, trace = fit(x_s, x_t, KernelSpec(kind), config)
     p, feasibility, kappa = ialm_reference(x_s, x_t, KernelSpec(kind), config)
@@ -28,6 +30,21 @@ def test_fit_equals_reference_loop_bit_for_bit(kind, lam, mu, seed):
     assert [r.feasibility for r in trace.records] == feasibility
     assert [r.kappa for r in trace.records] == kappa
     assert trace.iters_run == len(feasibility)
+
+
+@pytest.mark.parametrize("d, operator_form", [(5, False), (40, True)], ids=["d<n", "d>n"])
+def test_fit_solves_once_per_iteration(monkeypatch, d, operator_form):
+    solve = tsrg.solver._solve_spd
+    branches = []
+
+    def count(eig, kappa, rhs):
+        branches.append(rhs.shape[1] > len(eig[0]))
+        return solve(eig, kappa, rhs)
+
+    monkeypatch.setattr(tsrg.solver, "_solve_spd", count)
+    x_s, x_t = shifted_pair(5, d=d)
+    _, trace = fit(x_s, x_t, KernelSpec("gaussian"), SolverConfig(lam=1.0, mu=1e-3))
+    assert branches == [operator_form] * trace.iters_run
 
 
 def test_fit_never_evaluates_the_objective(monkeypatch):
