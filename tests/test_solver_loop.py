@@ -1,6 +1,8 @@
 """fit's IALM loop against a step-by-step reference, and its non-finite guard."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsrg.solver
 from tsrg.errors import NonFiniteError
@@ -47,25 +49,56 @@ def test_fit_solves_once_per_iteration(monkeypatch, d, operator_form):
     assert branches == [operator_form] * trace.iters_run
 
 
+@pytest.mark.parametrize("block", [7, 50, 130])
+@pytest.mark.parametrize("kind", ["linear", "gaussian"])
+# over n=22 anchors: 22 one-row blocks (7, and 50 at d=40), 10+10+2 rows (50 at
+# d=5), one block (130 at d=5) and 7x3+1 rows (130 at d=40)
+@pytest.mark.parametrize("d", [5, 40], ids=["d<n", "d>n"])
+def test_fit_is_bit_identical_across_row_blocks(monkeypatch, block, kind, d):
+    monkeypatch.setattr(tsrg.solver, "_BLOCK", block)
+    x_s, x_t = shifted_pair(6, d=d)
+    config = SolverConfig(lam=10.0, mu=0.05)
+    model, trace = fit(x_s, x_t, KernelSpec(kind), config)
+    p, feasibility, _ = ialm_reference(x_s, x_t, KernelSpec(kind), config)
+    # tobytes tells -0.0 from 0.0, which array_equal does not
+    assert model.p.tobytes() == p.tobytes()
+    assert [r.feasibility for r in trace.records] == feasibility
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_s=st.integers(2, 12), n_t=st.integers(2, 12), d=st.integers(1, 60),
+       kind=st.sampled_from(["linear", "gaussian"]), lam=st.floats(0.0, 100.0),
+       mu=st.floats(0.0, 0.1), block=st.integers(1, 4096), seed=st.integers(0, 2**32 - 1))
+def test_fit_matches_reference_for_any_shape_and_block(n_s, n_t, d, kind, lam, mu, block, seed):
+    x_s, x_t = shifted_pair(seed, d=d, n_s=n_s, n_t=n_t)
+    config = SolverConfig(lam=lam, mu=mu)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tsrg.solver, "_BLOCK", block)
+        model, trace = fit(x_s, x_t, KernelSpec(kind), config)
+    p, feasibility, _ = ialm_reference(x_s, x_t, KernelSpec(kind), config)
+    assert model.p.tobytes() == p.tobytes()
+    assert [r.feasibility for r in trace.records] == feasibility
+
+
 def test_fit_never_evaluates_the_objective(monkeypatch):
-    def fail(*args):
-        raise AssertionError("objective_terms called")
-    monkeypatch.setattr(tsrg.solver, "objective_terms", fail)
+    for name in ["objective_terms", "update_p", "shrink", "update_multiplier"]:
+        def fail(*args, name=name):
+            raise AssertionError(f"{name} called")
+        monkeypatch.setattr(tsrg.solver, name, fail)
     x_s, x_t = shifted_pair(3)
     _, trace = fit(x_s, x_t, KernelSpec("linear"), SolverConfig(lam=1.0, mu=1e-3))
     assert trace.converged
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
-@pytest.mark.parametrize("at", [0, 3])
-def test_non_finite_iterate_raises_at_its_iteration(monkeypatch, bad, at):
+def assert_non_finite_q_raises_at(monkeypatch, at, entry, bad):
+    """Set Q[entry] to bad after the Q-step of iteration at, then fit."""
     solve = tsrg.solver._solve_spd
     calls = []
 
     def corrupt(eig, kappa, rhs):
         q = solve(eig, kappa, rhs)
         if len(calls) == at:
-            q[1, 2] = bad
+            q[entry] = bad
         calls.append(kappa)
         return q
 
@@ -75,3 +108,18 @@ def test_non_finite_iterate_raises_at_its_iteration(monkeypatch, bad, at):
     with np.errstate(invalid="ignore"), \
             pytest.raises(NonFiniteError, match=f"non-finite at iteration {at}$"):
         fit(x_s, x_t, KernelSpec("linear"), SolverConfig(lam=1.0, mu=1e-3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("at", [0, 3])
+def test_non_finite_iterate_raises_at_its_iteration(monkeypatch, bad, at):
+    assert_non_finite_q_raises_at(monkeypatch, at, (1, 2), bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("at", [0, 3])
+def test_non_finite_in_the_last_row_block_raises_at_its_iteration(monkeypatch, bad, at):
+    # 10-row blocks over 22 anchors: Q[-1, -1] is in the third block, after
+    # two blocks whose finite maxima a NaN-dropping reduce would keep
+    monkeypatch.setattr(tsrg.solver, "_BLOCK", 50)
+    assert_non_finite_q_raises_at(monkeypatch, at, (-1, -1), bad)
