@@ -46,7 +46,6 @@ class LabeledDataset:
 class LinearClassifier:
     weights: np.ndarray             # k x d
     biases: np.ndarray              # k
-    penalty_c: float
     class_names: tuple[str, ...]
     epochs: tuple[int, ...] = ()       # dual CD epochs per class
     converged: tuple[bool, ...] = ()   # per class: tol met before max_epochs
@@ -121,7 +120,7 @@ def train(data: LabeledDataset, penalty_c: float = 1.0) -> LinearClassifier:
     The k binary problems share one Gram matrix of the augmented samples;
     each class's epoch count and convergence flag are kept on the model.
     """
-    if penalty_c <= 0:
+    if not penalty_c > 0:  # NaN fails too
         raise ValueError("penalty_c must be > 0")
     k = data.num_classes
     if k < 2:
@@ -146,9 +145,8 @@ def train(data: LabeledDataset, penalty_c: float = 1.0) -> LinearClassifier:
         biases[c_idx] = w_aug[-1]
         epochs.append(n_epochs)
         converged.append(done)
-    return LinearClassifier(weights=weights, biases=biases, penalty_c=penalty_c,
-                            class_names=data.class_names, epochs=tuple(epochs),
-                            converged=tuple(converged))
+    return LinearClassifier(weights=weights, biases=biases, class_names=data.class_names,
+                            epochs=tuple(epochs), converged=tuple(converged))
 
 
 def decision_scores(model: LinearClassifier, x: FeatureMatrix) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from .lbptop import LbpTopParams, VideoClip, extract
 class ManifestEntry:
     path: str
     label: str
-    subject: str = ""
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in counts.values())):
         raise IngestionError(
             f"{path}: expected_counts must map class names to non-negative integers")
-    entries = tuple(
-        ManifestEntry(path=e["path"], label=e["label"], subject=str(e.get("subject", "")))
-        for e in raw_entries
-    )
     return DatasetManifest(
         name=raw.get("name", path.stem),
-        entries=entries,
+        entries=tuple(ManifestEntry(path=e["path"], label=e["label"]) for e in raw_entries),
         expected_counts=counts,
     )
 
@@ -133,14 +129,17 @@ def _read_feature_csv(path: Path) -> tuple[np.ndarray, list[str]]:
 
 
 def _read_clip(path: Path) -> VideoClip:
-    """Clip directory of numbered images, or a packed raw volume with header."""
+    """Clip directory of numbered images, read in numeric frame order (img2
+    before img10), or a packed raw volume with header."""
     if path.is_dir():
         try:
             from PIL import Image
-        except ImportError as err:  # pragma: no cover
+        except ImportError as err:
             raise IngestionError("Pillow required to read image directories") from err
         frames = []
-        files = sorted(p for p in path.iterdir() if p.is_file())
+        # digit runs compare as integers; the name breaks ties such as img01 / img1
+        files = sorted((p for p in path.iterdir() if p.is_file()), key=lambda p: (
+            [int(s) if s.isdecimal() else s for s in re.split(r"(\d+)", p.name)], p.name))
         if not files:
             raise IngestionError(f"{path}: empty clip directory")
         for f in files:
@@ -226,9 +225,7 @@ class SynthSpec:
     dim: int = 20
     n_source_per_class: int = 20
     n_target_per_class: int = 20
-    centers: np.ndarray | None = None       # classes x dim; default: scaled simplex axes
     cov_scale: float = 1.0
-    shift_matrix: np.ndarray | None = None  # default identity
     shift_offset: np.ndarray | None = None  # default zero
     center_spread: float = 5.0
     seed: int = 0
@@ -247,40 +244,21 @@ class SynthSpec:
             raise SpecError("need classes >= 2 and dim >= 1")
         if self.n_source_per_class < 2 or self.n_target_per_class < 2:
             raise SpecError("need at least 2 samples per class per domain")
-        if self.cov_scale <= 0:
+        if not self.cov_scale > 0:
             raise SpecError("cov_scale must be > 0")
-        if self.centers is not None:
-            centers = np.asarray(self.centers, dtype=np.float64)
-            if centers.shape != (self.classes, self.dim):
-                raise SpecError(f"centers must be {self.classes} x {self.dim}")
-            object.__setattr__(self, "centers", centers)
-        if self.shift_matrix is not None:
-            a = np.asarray(self.shift_matrix, dtype=np.float64)
-            if a.shape != (self.dim, self.dim):
-                raise SpecError(f"shift matrix must be {self.dim} x {self.dim}")
-            if np.linalg.matrix_rank(a) < self.dim:
-                raise SpecError("shift matrix is singular")
-            object.__setattr__(self, "shift_matrix", a)
         if self.shift_offset is not None:
             b = np.asarray(self.shift_offset, dtype=np.float64)
             if b.shape != (self.dim,):
                 raise SpecError(f"shift offset must have length {self.dim}")
             object.__setattr__(self, "shift_offset", b)
 
-    def resolved_centers(self) -> np.ndarray:
-        if self.centers is not None:
-            return self.centers
-        centers = np.zeros((self.classes, self.dim))
-        for c in range(self.classes):
-            centers[c, c % self.dim] = self.center_spread
-        return centers
-
 
 def synth_generate(spec: SynthSpec) -> tuple[LabeledDataset, LabeledDataset]:
-    """Draw source/target datasets; target samples pass through x -> A x + b."""
+    """Draw source/target datasets; class c is centred at ``center_spread``
+    on axis ``c % dim``, and target samples are shifted by ``shift_offset``."""
     rng = np.random.default_rng(spec.seed)
-    centers = spec.resolved_centers()
-    a = spec.shift_matrix if spec.shift_matrix is not None else np.eye(spec.dim)
+    centers = np.zeros((spec.classes, spec.dim))
+    centers[np.arange(spec.classes), np.arange(spec.classes) % spec.dim] = spec.center_spread
     b = spec.shift_offset if spec.shift_offset is not None else np.zeros(spec.dim)
     class_names = tuple(f"c{c}" for c in range(spec.classes))
 
@@ -294,7 +272,7 @@ def synth_generate(spec: SynthSpec) -> tuple[LabeledDataset, LabeledDataset]:
 
     src_x, src_labels = draw(spec.n_source_per_class)
     tgt_x, tgt_labels = draw(spec.n_target_per_class)
-    tgt_x = a @ tgt_x + b[:, None]
+    tgt_x = tgt_x + b[:, None]
     return (
         dataset_from_arrays(src_x, src_labels, class_names),
         dataset_from_arrays(tgt_x, tgt_labels, class_names),

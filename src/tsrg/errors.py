@@ -38,4 +38,4 @@ class LabelMapError(TsrgError):
 
 
 class SpecError(TsrgError):
-    """A synthetic-data spec is invalid (e.g. singular shift matrix)."""
+    """A synthetic-data spec is invalid (e.g. a shift offset of the wrong length)."""

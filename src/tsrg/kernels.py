@@ -56,7 +56,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "gaussian"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "gaussian" and self.bandwidth is not None and self.bandwidth <= 0:
+        if self.kind == "gaussian" and self.bandwidth is not None and not self.bandwidth > 0:
             raise ValueError("gaussian bandwidth must be > 0")
 
     def resolved(self, *mats: FeatureMatrix) -> "KernelSpec":

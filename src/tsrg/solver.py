@@ -51,14 +51,17 @@ class SolverConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if self.lam < 0 or self.mu < 0:
+        # each check is written so that NaN fails it
+        if not (self.lam >= 0 and self.mu >= 0):
             raise ValueError("lam and mu must be nonnegative")
-        if self.kappa0 <= 0 or self.kappa_max <= 0 or self.kappa0 > self.kappa_max:
+        if not 0 < self.kappa0 <= self.kappa_max:
             raise ValueError("need 0 < kappa0 <= kappa_max")
-        if self.rho <= 1:
+        if not self.rho > 1:
             raise ValueError("rho must be > 1")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
+        if self.epsilon == np.inf:  # max|P - Q| < inf holds after one iteration
+            raise ValueError("epsilon must be finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

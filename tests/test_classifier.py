@@ -93,10 +93,17 @@ def test_predict_identity_weights():
     assert predict(model, FeatureMatrix(np.array([[5.0], [0.0]])))[0] == 0
 
 
+@pytest.mark.parametrize("penalty_c", [np.nan, 0.0, -1.0])
+def test_penalty_c_must_be_positive(penalty_c):
+    # a NaN C would leave alpha unbounded above: min(a, nan) returns a
+    with pytest.raises(ValueError, match="^penalty_c must be > 0$"):
+        train(blobs([(5, 0), (0, 5)], 10, 0.2, seed=8), penalty_c)
+
+
 def test_tie_breaks_to_lowest_class_id():
     from tsrg.classifier import LinearClassifier
     model = LinearClassifier(weights=np.zeros((3, 2)), biases=np.zeros(3),
-                             penalty_c=1.0, class_names=("a", "b", "c"))
+                             class_names=("a", "b", "c"))
     preds = predict(model, FeatureMatrix(np.random.default_rng(9).standard_normal((2, 5))))
     np.testing.assert_array_equal(preds, 0)
 

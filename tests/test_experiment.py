@@ -336,7 +336,8 @@ class TestCli:
         (["grid", "--lambda-grid", "abc", "--mu-grid", "0.001"],
          "could not convert string to float: 'abc'"),
         (["run", "--rho", "1"], "rho must be > 1"),
-    ], ids=["grid-bad-lambda-grid", "run-bad-rho"])
+        (["run", "--epsilon", "nan"], "epsilon must be > 0"),
+    ], ids=["grid-bad-lambda-grid", "run-bad-rho", "run-nan-epsilon"])
     def test_bad_flag_value_exits_1_without_traceback(self, capsys, tmp_path,
                                                       dataset_files, argv, message):
         src, tgt = dataset_files
@@ -370,9 +371,14 @@ class TestCli:
         ({"classes": 2, "dim": 3, "cov_scale": "1"}, "cov_scale must be a number, not '1'"),
         ({"classes": 2, "dim": 3, "center_spread": [5]},
          "center_spread must be a number, not [5]"),
+        ({"classes": 2, "dim": 3, "cov_scale": float("nan")}, "cov_scale must be > 0"),
+        ({"classes": 2, "dim": 3, "centers": [[5, 0, 0], [0, 5, 0]]},
+         "unknown spec keys: centers"),
+        ({"classes": 2, "dim": 3, "shift_matrix": np.eye(3).tolist()},
+         "unknown spec keys: shift_matrix"),
     ], ids=["unknown-key", "not-an-object", "string-classes", "float-dim",
             "float-source-count", "null-target-count", "bool-seed", "string-cov-scale",
-            "list-center-spread"])
+            "list-center-spread", "nan-cov-scale", "centers-key", "shift-matrix-key"])
     def test_synth_rejects_bad_spec_without_traceback(self, capsys, tmp_path, spec, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))

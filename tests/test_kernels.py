@@ -162,6 +162,12 @@ class TestMmd:
         assert spec.bandwidth is not None and spec.bandwidth > 0
 
 
+@pytest.mark.parametrize("bandwidth", [np.nan, 0.0, -1.0])
+def test_gaussian_bandwidth_must_be_positive(bandwidth):
+    with pytest.raises(ValueError, match="^gaussian bandwidth must be > 0$"):
+        KernelSpec("gaussian", bandwidth)
+
+
 finite_mats = arrays(
     dtype=np.float64, shape=st.tuples(st.integers(1, 4), st.integers(1, 6)),
     elements=st.floats(-10, 10, allow_nan=False),

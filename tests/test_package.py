@@ -2,7 +2,10 @@
 README's library example and every function the benchmark tracer wraps,
 called as often as the tracer's layers assume."""
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,17 @@ def test_readme_library_import():
     statement = re.search(r"^from tsrg import \([^)]*\)", readme, re.MULTILINE)
     assert statement is not None, "README has no `from tsrg import (...)` example"
     exec(statement.group(0), {})
+
+
+def test_import_loads_neither_scipy_nor_pillow():
+    """pyproject.toml declares numpy only; Pillow is imported when an image
+    directory is read, not before."""
+    code = ("import sys, tsrg, tsrg.cli; "
+            "print(sorted({'scipy', 'PIL'} & {m.split('.')[0] for m in sys.modules}))")
+    package_root = str(Path(tsrg.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=package_root))
+    assert proc.stdout == "[]\n"
 
 
 def test_every_tracer_hook_resolves(monkeypatch):

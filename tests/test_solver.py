@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -364,6 +366,21 @@ class TestSerialization:
         loaded = load_model(tmp_path / "m.npz")
         np.testing.assert_array_equal(regenerate(loaded, x_t).data,
                                       regenerate(model, x_t).data)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("lam", np.nan, "lam and mu must be nonnegative"),
+    ("mu", np.nan, "lam and mu must be nonnegative"),
+    ("kappa0", np.nan, "need 0 < kappa0 <= kappa_max"),
+    ("kappa_max", np.nan, "need 0 < kappa0 <= kappa_max"),
+    ("rho", np.nan, "rho must be > 1"),
+    ("epsilon", np.nan, "epsilon must be > 0"),
+    ("epsilon", np.inf, "epsilon must be finite"),
+], ids=["nan-lam", "nan-mu", "nan-kappa0", "nan-kappa-max", "nan-rho", "nan-epsilon",
+        "inf-epsilon"])
+def test_config_rejects_nan_and_infinite_epsilon(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SolverConfig(**{field: value})
 
 
 def test_config_validation():
