@@ -246,10 +246,15 @@ class SynthSpec:
             raise SpecError("need at least 2 samples per class per domain")
         if not self.cov_scale > 0:
             raise SpecError("cov_scale must be > 0")
+        for name in ("cov_scale", "center_spread"):
+            if not abs(getattr(self, name)) < np.inf:  # NaN fails it too
+                raise SpecError(f"{name} must be finite")
         if self.shift_offset is not None:
             b = np.asarray(self.shift_offset, dtype=np.float64)
             if b.shape != (self.dim,):
                 raise SpecError(f"shift offset must have length {self.dim}")
+            if not np.isfinite(b).all():
+                raise SpecError("shift_offset entries must be finite")
             object.__setattr__(self, "shift_offset", b)
 
 

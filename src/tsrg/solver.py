@@ -13,17 +13,23 @@ in R, the product is taken right to left, V((V^T R)/(w + kappa/2)) at 2n^2 d
 flops, when d <= n, and through the n x n operator (V/(w + kappa/2)) V^T, at
 n^3 + n^2 d, when d > n.  kappa changes every iteration, so the operator is
 rebuilt per Q-step.
-After each Q-step, fit makes one fused sweep over row blocks of its
-preallocated n x d buffers: the soft-threshold for P, max|P - Q|, the
-multiplier step on T and the next Q-step right-hand side, all in place.  A
-block holds _BLOCK elements of each array, so the six arrays a block touches
-(2^15 float64 each, 1.5 MB in all) stay in a 2 MB per-core L2 cache, and each
-iteration reads Q, T and the kappa-free right-hand side once and writes P, T
-and R once, instead of about 15 passes through memory.  Every operation is
-elementwise, so the block size changes no value.  P and the records equal, bit
-for bit, the step-by-step loop built from shrink, update_p and
-update_multiplier, except that where Q - T/kappa is -0.0, fit's copysign keeps
-the sign of the zero in P and shrink's sign() drops it.
+After each Q-step, fit makes one fused sweep over row blocks of its n x d
+buffers: the soft-threshold for P, max|P - Q|, the multiplier step on T and
+the next Q-step right-hand side, all in place.  The Q-step has read the right-
+hand side R by then, so each block writes P into R's rows, and the next R into
+the rows of Q it has just used; the loop then swaps the names, so the buffer
+that held R holds P.  The loop owns four n x d arrays (the kappa-free right-
+hand side, T, R and the new Q) and one block of scratch.  The sweep is bound
+by memory traffic, not arithmetic: each iteration streams those four arrays
+once, reading the kappa-free part and writing P, T and the next R in place,
+where a separate P and an n x d scratch would add two more arrays written in
+full.  A block holds _BLOCK elements of each array, so the five arrays a block
+touches (2^15 float64 each, 1.25 MB in all) stay in a 2 MB per-core L2 cache.
+Every operation is elementwise, so the block size changes no value, and which
+buffer holds P changes none either.  P and the records equal, bit for bit, the
+step-by-step loop built from shrink, update_p and update_multiplier, except
+that where Q - T/kappa is -0.0, fit's copysign keeps the sign of the zero in P
+and shrink's sign() drops it.
 """
 from __future__ import annotations
 
@@ -36,7 +42,8 @@ import numpy as np
 from .errors import DimensionError, NonFiniteError, NumericalError
 from .kernels import AugmentedKernels, FeatureMatrix, KernelSpec, build_augmented, gram_matrix
 
-# elements of each n x d array per block of fit's sweep, sized for L2
+# elements of each n x d array per block of fit's sweep; a block touches
+# five arrays (Q, R, T, the kappa-free right-hand side, the scratch), 1.25 MB in L2
 _BLOCK = 1 << 15
 
 
@@ -60,8 +67,11 @@ class SolverConfig:
             raise ValueError("rho must be > 1")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
-        if self.epsilon == np.inf:  # max|P - Q| < inf holds after one iteration
-            raise ValueError("epsilon must be finite")
+        # an infinite penalty makes the first iterate NaN, an infinite epsilon
+        # stops after one iteration
+        for name in ("lam", "mu", "kappa0", "kappa_max", "epsilon"):
+            if getattr(self, name) == np.inf:
+                raise ValueError(f"{name} must be finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -183,50 +193,51 @@ def update_multiplier(state: SolverState, rho: float, kappa_max: float) -> tuple
     return t_new, kappa_new
 
 
-def fit(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec,
-        config: SolverConfig) -> tuple[TsrgModel, SolverTrace]:
-    """Learn the re-generator coefficients by the IALM loop from P=Q=T=0."""
-    spec = spec.resolved(x_s, x_t)
-    ak = build_augmented(x_s, x_t, spec)
-    n = ak.n_s + ak.n_t
-    d = x_s.d
+def _sweep(q, r, t, base, v, kappa, kappa_next, tau, rows) -> float:
+    """One pass over row blocks: P = shrink(Q - T/kappa, tau) into r, whose rows
+    the Q-step has read; T += kappa (P - Q); the next right-hand side
+    (kappa_next P + T)/2 + base into q, whose rows are spent by then.
+    v is one block of scratch.  Returns max|P - Q|."""
+    feas = 0.0
+    for lo in range(0, len(q), rows):
+        b = slice(lo, lo + rows)
+        qb, pb, tb = q[b], r[b], t[b]
+        vb = v[:len(qb)]
+        np.divide(tb, kappa, out=vb)
+        np.subtract(qb, vb, out=vb)
+        np.abs(vb, out=pb)
+        np.subtract(pb, tau, out=pb)
+        np.maximum(pb, 0.0, out=pb)
+        np.copysign(pb, vb, out=pb)
+        np.subtract(pb, qb, out=vb)
+        # np.maximum propagates a NaN from any block, whatever the order
+        feas = np.maximum(feas, np.abs(vb, out=qb).max())
+        np.multiply(vb, kappa, out=vb)
+        np.add(tb, vb, out=tb)
+        np.multiply(pb, kappa_next, out=qb)
+        np.add(qb, tb, out=qb)
+        np.multiply(qb, 0.5, out=qb)
+        np.add(qb, base[b], out=qb)
+    return float(feas)
 
-    # the system matrix has no kappa in it: one eigendecomposition per fit
-    eig, rhs_base = _q_system(x_s, ak, config.lam)
 
-    p, t, v = np.zeros((n, d)), np.zeros((n, d)), np.empty((n, d))
-    kappa = config.kappa0
-    r = rhs_base + (kappa * p + t) / 2.0
+def _ialm(eig, base: np.ndarray, config: SolverConfig) -> tuple[np.ndarray, SolverTrace]:
+    """The IALM loop from P = Q = T = 0 over four n x d arrays: base, T, the
+    right-hand side R and the new Q.  Returns P and the trace."""
+    n, d = base.shape
     rows = max(1, _BLOCK // d)
+    t, v = np.zeros((n, d)), np.empty((min(rows, n), d))
+    kappa = config.kappa0
+    r = base + 0.0  # (kappa P + T)/2 is +0.0 at P = T = 0
     trace = SolverTrace()
     for it in range(config.max_iters):
+        p = None  # the previous P is dead: let the Q-step reuse its memory
         # Q = (M + kappa/2 I)^-1 (K_s X_s^T + (kappa P + T)/2), the minimizer of
         # |X_s - Q^T K_s|^2 + lam |Q^T dk|^2 + tr[T^T(P-Q)] + kappa/2 |P-Q|^2
         q = _solve_spd(eig, kappa, r)
         kappa_next = min(config.rho * kappa, config.kappa_max)
-        tau = config.mu / kappa
-        # one sweep of row blocks: P = shrink(Q - T/kappa, mu/kappa),
-        # T += kappa (P - Q) and the next right-hand side, with r[b] as scratch
-        feas = 0.0
-        for lo in range(0, n, rows):
-            b = slice(lo, lo + rows)
-            qb, pb, tb, rb, vb = q[b], p[b], t[b], r[b], v[b]
-            np.divide(tb, kappa, out=vb)
-            np.subtract(qb, vb, out=vb)
-            np.abs(vb, out=pb)
-            np.subtract(pb, tau, out=pb)
-            np.maximum(pb, 0.0, out=pb)
-            np.copysign(pb, vb, out=pb)
-            np.subtract(pb, qb, out=vb)
-            # np.maximum propagates a NaN from any block, whatever the order
-            feas = np.maximum(feas, np.abs(vb, out=rb).max())
-            np.multiply(vb, kappa, out=vb)
-            np.add(tb, vb, out=tb)
-            np.multiply(pb, kappa_next, out=rb)
-            np.add(rb, tb, out=rb)
-            np.divide(rb, 2.0, out=rb)
-            np.add(rb, rhs_base[b], out=rb)
-        feas = float(feas)
+        feas = _sweep(q, r, t, base, v, kappa, kappa_next, config.mu / kappa, rows)
+        p, r = r, q
         # a NaN or Inf anywhere in P or Q makes this maximum NaN or Inf
         if not np.isfinite(feas):
             raise NonFiniteError(f"solver iterate became non-finite at iteration {it}")
@@ -236,7 +247,17 @@ def fit(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec,
         if feas < config.epsilon:
             trace.converged = True
             break
+    return p, trace
 
+
+def fit(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec,
+        config: SolverConfig) -> tuple[TsrgModel, SolverTrace]:
+    """Learn the re-generator coefficients by the IALM loop from P=Q=T=0."""
+    spec = spec.resolved(x_s, x_t)
+    ak = build_augmented(x_s, x_t, spec)
+    # the system matrix has no kappa in it: one eigendecomposition per fit
+    p, trace = _ialm(*_q_system(x_s, ak, config.lam), config)
+    # stacked only once the loop's buffers are freed
     anchors = FeatureMatrix(np.concatenate([x_s.data, x_t.data], axis=1))
     model = TsrgModel(p=p, anchors=anchors, kernel=spec,
                       n_s=ak.n_s, n_t=ak.n_t, config=config)

@@ -337,7 +337,8 @@ class TestCli:
          "could not convert string to float: 'abc'"),
         (["run", "--rho", "1"], "rho must be > 1"),
         (["run", "--epsilon", "nan"], "epsilon must be > 0"),
-    ], ids=["grid-bad-lambda-grid", "run-bad-rho", "run-nan-epsilon"])
+        (["run", "--lambda", "inf"], "lam must be finite"),
+    ], ids=["grid-bad-lambda-grid", "run-bad-rho", "run-nan-epsilon", "run-inf-lambda"])
     def test_bad_flag_value_exits_1_without_traceback(self, capsys, tmp_path,
                                                       dataset_files, argv, message):
         src, tgt = dataset_files
@@ -376,9 +377,21 @@ class TestCli:
          "unknown spec keys: centers"),
         ({"classes": 2, "dim": 3, "shift_matrix": np.eye(3).tolist()},
          "unknown spec keys: shift_matrix"),
+        # json writes and reads these as the literals Infinity and NaN
+        ({"classes": 2, "dim": 3, "center_spread": float("inf")},
+         "center_spread must be finite"),
+        ({"classes": 2, "dim": 3, "center_spread": float("nan")},
+         "center_spread must be finite"),
+        ({"classes": 2, "dim": 3, "cov_scale": float("inf")}, "cov_scale must be finite"),
+        ({"classes": 2, "dim": 3, "shift_offset": [float("nan"), 0.0, 0.0]},
+         "shift_offset entries must be finite"),
+        ({"classes": 2, "dim": 3, "shift_offset": [0.0, 0.0, float("-inf")]},
+         "shift_offset entries must be finite"),
     ], ids=["unknown-key", "not-an-object", "string-classes", "float-dim",
             "float-source-count", "null-target-count", "bool-seed", "string-cov-scale",
-            "list-center-spread", "nan-cov-scale", "centers-key", "shift-matrix-key"])
+            "list-center-spread", "nan-cov-scale", "centers-key", "shift-matrix-key",
+            "inf-center-spread", "nan-center-spread", "inf-cov-scale", "nan-shift-offset",
+            "inf-shift-offset"])
     def test_synth_rejects_bad_spec_without_traceback(self, capsys, tmp_path, spec, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))

@@ -368,19 +368,23 @@ class TestSerialization:
                                       regenerate(model, x_t).data)
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("lam", np.nan, "lam and mu must be nonnegative"),
-    ("mu", np.nan, "lam and mu must be nonnegative"),
-    ("kappa0", np.nan, "need 0 < kappa0 <= kappa_max"),
-    ("kappa_max", np.nan, "need 0 < kappa0 <= kappa_max"),
-    ("rho", np.nan, "rho must be > 1"),
-    ("epsilon", np.nan, "epsilon must be > 0"),
-    ("epsilon", np.inf, "epsilon must be finite"),
+@pytest.mark.parametrize("kwargs, message", [
+    ({"lam": np.nan}, "lam and mu must be nonnegative"),
+    ({"mu": np.nan}, "lam and mu must be nonnegative"),
+    ({"kappa0": np.nan}, "need 0 < kappa0 <= kappa_max"),
+    ({"kappa_max": np.nan}, "need 0 < kappa0 <= kappa_max"),
+    ({"rho": np.nan}, "rho must be > 1"),
+    ({"epsilon": np.nan}, "epsilon must be > 0"),
+    ({"epsilon": np.inf}, "epsilon must be finite"),
+    ({"lam": np.inf}, "lam must be finite"),
+    ({"mu": np.inf}, "mu must be finite"),
+    ({"kappa0": np.inf, "kappa_max": np.inf}, "kappa0 must be finite"),
+    ({"kappa_max": np.inf}, "kappa_max must be finite"),
 ], ids=["nan-lam", "nan-mu", "nan-kappa0", "nan-kappa-max", "nan-rho", "nan-epsilon",
-        "inf-epsilon"])
-def test_config_rejects_nan_and_infinite_epsilon(field, value, message):
+        "inf-epsilon", "inf-lam", "inf-mu", "inf-kappa0", "inf-kappa-max"])
+def test_config_rejects_nan_and_infinite_epsilon(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        SolverConfig(**{field: value})
+        SolverConfig(**kwargs)
 
 
 def test_config_validation():

@@ -1,4 +1,7 @@
-"""fit's IALM loop against a step-by-step reference, and its non-finite guard."""
+"""fit's IALM loop against a step-by-step reference, its memory and its
+non-finite guard."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +66,42 @@ def test_fit_is_bit_identical_across_row_blocks(monkeypatch, block, kind, d):
     # tobytes tells -0.0 from 0.0, which array_equal does not
     assert model.p.tobytes() == p.tobytes()
     assert [r.feasibility for r in trace.records] == feasibility
+
+
+@pytest.mark.parametrize("block", [None, 50], ids=["default-block", "block-50"])
+@pytest.mark.parametrize("d", [5, 40], ids=["d<n", "d>n"])
+@pytest.mark.parametrize("max_iters", [1, 2, 3])
+def test_p_is_bit_identical_whichever_buffer_holds_it(monkeypatch, max_iters, d, block):
+    # the loop swaps its right-hand side and P buffers every iteration, so
+    # stopping after an odd or an even count returns P from either one
+    if block is not None:
+        monkeypatch.setattr(tsrg.solver, "_BLOCK", block)
+    x_s, x_t = shifted_pair(8, d=d)
+    config = SolverConfig(lam=10.0, mu=0.05, max_iters=max_iters)
+    model, trace = fit(x_s, x_t, KernelSpec("linear"), config)
+    p, feasibility, kappa = ialm_reference(x_s, x_t, KernelSpec("linear"), config)
+    assert not trace.converged and trace.iters_run == max_iters
+    assert model.p.tobytes() == p.tobytes()
+    assert [r.feasibility for r in trace.records] == feasibility
+    assert [r.kappa for r in trace.records] == kappa
+
+
+def test_fit_holds_four_n_by_d_arrays_when_d_exceeds_n():
+    # the kappa-free right-hand side, T, R and the new Q during a Q-step, plus
+    # one block of scratch and the n x n operator; the previous P is freed
+    x_s, x_t = shifted_pair(7, d=4000)
+    config = SolverConfig(lam=1.0, mu=1e-3, max_iters=4)
+    fit(x_s, x_t, KernelSpec("linear"), config)  # numpy's lazy imports, untraced
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _, trace = fit(x_s, x_t, KernelSpec("linear"), config)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert trace.iters_run == 4
+    assert peak <= 4.5 * (12 + 10) * 4000 * 8
 
 
 @settings(max_examples=40, deadline=None)
