@@ -13,7 +13,7 @@ from typing import Callable
 
 from .data import (SynthSpec, ingest_csv, ingest_manifest, load_manifest,
                    synth_generate, write_dataset_csv)
-from .errors import SpecError, TsrgError
+from .errors import IngestionError, SpecError, TsrgError
 from .experiment import (ExperimentConfig, emit_records, grid_search,
                          parse_records, render_result, run_experiment)
 from .kernels import KernelSpec
@@ -45,10 +45,18 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", required=True)
 
 
+def _read_json(path: str):
+    """The JSON value in a file; a parse error names the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise IngestionError(f"{path}: {err}") from err
+
+
 def _load_datasets(args):
     label_map = None
     if args.label_map:
-        label_map = json.loads(Path(args.label_map).read_text())
+        label_map = _read_json(args.label_map)
     source = ingest_csv(args.source, label_map)
     target = ingest_csv(args.target, label_map, class_names=source.class_names)
     return source, target
@@ -69,21 +77,16 @@ def _experiment_config(args, **penalties: float) -> ExperimentConfig:
 
 
 def _parse_grid(text: str) -> list[float]:
-    vals = [float(v) for v in text.split(",") if v.strip()]
-    if not vals:
-        raise ValueError("empty grid")
-    return vals
+    return [float(v) for v in text.split(",") if v.strip()]
 
 
 def cmd_synth(args) -> int:
-    raw = json.loads(Path(args.spec).read_text())
+    raw = _read_json(args.spec)
     if not isinstance(raw, dict):
         raise SpecError(f"{args.spec}: the spec must be a JSON object")
     unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(SynthSpec)})
     if unknown:
         raise SpecError(f"{args.spec}: unknown spec keys: {', '.join(unknown)}")
-    if args.seed is not None:
-        raw["seed"] = args.seed
     source, target = synth_generate(SynthSpec(**raw))
     _write_files({
         Path(args.out_source): lambda path: write_dataset_csv(path, source),
@@ -181,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a shifted-Gaussian dataset pair")
     p.add_argument("--spec", required=True, help="JSON file with the synthesis spec")
-    p.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p.add_argument("--out-source", required=True)
     p.add_argument("--out-target", required=True)
     p.set_defaults(func=cmd_synth)

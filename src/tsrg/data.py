@@ -9,7 +9,9 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import os
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -155,11 +157,12 @@ def _read_clip(path: Path) -> VideoClip:
             if not all(isinstance(s, int) and not isinstance(s, bool) and s > 0 for s in (t, h, w)):
                 raise IngestionError(
                     f"cannot read clip {path}: t, h and w must be positive integers")
+            # checked before reading: a count too large for memory is not allocated
+            if t * h * w * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
+                raise IngestionError(f"{path}: truncated clip volume")
             vol = np.fromfile(fh, dtype="<f8", count=t * h * w)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as err:
         raise IngestionError(f"cannot read clip {path}: {err}") from err
-    if vol.size != t * h * w:
-        raise IngestionError(f"{path}: truncated clip volume")
     return VideoClip(vol.reshape(t, h, w))
 
 
@@ -247,10 +250,14 @@ class SynthSpec:
         if not self.cov_scale > 0:
             raise SpecError("cov_scale must be > 0")
         for name in ("cov_scale", "center_spread"):
-            if not abs(getattr(self, name)) < np.inf:  # NaN fails it too
+            # NaN fails it too, and so does an integer too large for a double
+            if not abs(getattr(self, name)) <= sys.float_info.max:
                 raise SpecError(f"{name} must be finite")
         if self.shift_offset is not None:
-            b = np.asarray(self.shift_offset, dtype=np.float64)
+            try:
+                b = np.asarray(self.shift_offset, dtype=np.float64)
+            except OverflowError as err:  # an integer too large for a double
+                raise SpecError("shift_offset entries must be finite") from err
             if b.shape != (self.dim,):
                 raise SpecError(f"shift offset must have length {self.dim}")
             if not np.isfinite(b).all():

@@ -38,9 +38,6 @@ class FeatureMatrix:
     def n(self) -> int:
         return self.data.shape[1]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.data[:, j]
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -56,8 +53,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "gaussian"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "gaussian" and self.bandwidth is not None and not self.bandwidth > 0:
-            raise ValueError("gaussian bandwidth must be > 0")
+        if self.kind == "gaussian" and self.bandwidth is not None:
+            if not self.bandwidth > 0:  # NaN fails it too
+                raise ValueError("gaussian bandwidth must be > 0")
+            if self.bandwidth == np.inf:  # a constant kernel
+                raise ValueError("gaussian bandwidth must be finite")
 
     def resolved(self, *mats: FeatureMatrix) -> "KernelSpec":
         """Return a spec with a concrete bandwidth (median heuristic if unset)."""

@@ -77,16 +77,6 @@ class SolverConfig:
 
 
 @dataclass
-class SolverState:
-    """IALM iterate of the step-by-step loop; fit does not use it (see shrink)."""
-
-    p: np.ndarray
-    q: np.ndarray
-    t: np.ndarray
-    kappa: float
-
-
-@dataclass
 class IterationRecord:
     feasibility: float  # max|P - Q|
     kappa: float
@@ -160,8 +150,8 @@ def _solve_spd(eig, kappa: float, rhs: np.ndarray) -> np.ndarray:
 def shrink(v: np.ndarray, tau: float) -> np.ndarray:
     """Soft-threshold: sign(v) * max(|v| - tau, 0).
 
-    fit does not call this or update_p, update_multiplier and SolverState: they
-    are the step-by-step form of its sweep, kept for tests/oracles.ialm_reference
+    fit does not call this, update_p or update_multiplier: they are the
+    step-by-step form of its sweep, kept for tests/oracles.ialm_reference
     and for the bench tracer's hooks.
     """
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
@@ -181,16 +171,15 @@ def update_p(q: np.ndarray, t: np.ndarray, kappa: float, mu: float) -> np.ndarra
     return shrink(q - t / kappa, mu / kappa)
 
 
-def update_multiplier(state: SolverState, rho: float, kappa_max: float) -> tuple[np.ndarray, float]:
+def update_multiplier(p: np.ndarray, q: np.ndarray, t: np.ndarray, kappa: float,
+                      rho: float, kappa_max: float) -> tuple[np.ndarray, float]:
     """Multiplier and penalty step: T += kappa (P - Q), kappa = min(rho kappa, kappa_max).
 
     Step-by-step form of fit's sweep, which does not call it; see shrink.
     """
     if rho <= 1:
         raise ValueError("rho must be > 1")
-    t_new = state.t + state.kappa * (state.p - state.q)
-    kappa_new = min(rho * state.kappa, kappa_max)
-    return t_new, kappa_new
+    return t + kappa * (p - q), min(rho * kappa, kappa_max)
 
 
 def _sweep(q, r, t, base, v, kappa, kappa_next, tau, rows) -> float:

@@ -9,8 +9,8 @@ import numpy as np
 from tsrg.errors import DimensionError, NonFiniteError
 from tsrg.kernels import AugmentedKernels, FeatureMatrix, KernelSpec, build_augmented
 from tsrg.lbptop import LbpTopParams, _bilinear_terms, _neighbor_offsets, uniform_lut
-from tsrg.solver import (SolverConfig, SolverState, TsrgModel, _q_system, _solve_spd,
-                         objective_terms, update_multiplier, update_p)
+from tsrg.solver import (SolverConfig, TsrgModel, _q_system, _solve_spd, objective_terms,
+                         update_multiplier, update_p)
 
 
 def objective(p: np.ndarray, x_s: FeatureMatrix, ak: AugmentedKernels,
@@ -50,8 +50,8 @@ def full_gram(ak: AugmentedKernels) -> np.ndarray:
     return np.hstack([ak.k_s, ak.k_t])
 
 
-def update_q(state: SolverState, x_s: FeatureMatrix, ak: AugmentedKernels,
-             lam: float) -> np.ndarray:
+def update_q(p: np.ndarray, t: np.ndarray, kappa: float, x_s: FeatureMatrix,
+             ak: AugmentedKernels, lam: float) -> np.ndarray:
     """Closed-form ridge solve for Q with P, T, kappa held fixed.
 
     Minimizes |X_s - Q^T K_s|_F^2 + lam |Q^T dk|^2 + tr[T^T(P-Q)]
@@ -59,10 +59,10 @@ def update_q(state: SolverState, x_s: FeatureMatrix, ak: AugmentedKernels,
     Q = (K_s K_s^T + lam dk dk^T + kappa/2 I)^-1 (K_s X_s^T + (kappa P + T)/2),
     through the same eigendecomposition and solve as ``fit``.
     """
-    if state.kappa <= 0:
+    if kappa <= 0:
         raise ValueError("kappa must be > 0")
     eig, rhs_base = _q_system(x_s, ak, lam)
-    return _solve_spd(eig, state.kappa, rhs_base + (state.kappa * state.p + state.t) / 2.0)
+    return _solve_spd(eig, kappa, rhs_base + (kappa * p + t) / 2.0)
 
 
 def ialm_reference(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec,
@@ -73,18 +73,18 @@ def ialm_reference(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec,
     spec = spec.resolved(x_s, x_t)
     ak = build_augmented(x_s, x_t, spec)
     shape = (ak.n_s + ak.n_t, x_s.d)
-    state = SolverState(p=np.zeros(shape), q=np.zeros(shape), t=np.zeros(shape),
-                        kappa=config.kappa0)
-    feasibility, kappa = [], []
+    p, t = np.zeros(shape), np.zeros(shape)
+    kappa = config.kappa0
+    feasibility, kappas = [], []
     for _ in range(config.max_iters):
-        state.q = update_q(state, x_s, ak, config.lam)
-        state.p = update_p(state.q, state.t, state.kappa, config.mu)
-        feasibility.append(float(np.max(np.abs(state.p - state.q))))
-        state.t, state.kappa = update_multiplier(state, config.rho, config.kappa_max)
-        kappa.append(state.kappa)
+        q = update_q(p, t, kappa, x_s, ak, config.lam)
+        p = update_p(q, t, kappa, config.mu)
+        feasibility.append(float(np.max(np.abs(p - q))))
+        t, kappa = update_multiplier(p, q, t, kappa, config.rho, config.kappa_max)
+        kappas.append(kappa)
         if feasibility[-1] < config.epsilon:
             break
-    return state.p, feasibility, kappa
+    return p, feasibility, kappas
 
 
 def write_clip(path: str | Path, volume: np.ndarray) -> None:

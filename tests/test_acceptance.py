@@ -13,7 +13,7 @@ from tsrg.experiment import ExperimentConfig, grid_search
 from tsrg.kernels import FeatureMatrix, KernelSpec, build_augmented, mmd
 from tsrg.lbptop import LbpTopParams, VideoClip, extract, uniform_lut
 from tsrg.metrics import report_from_confusion
-from tsrg.solver import SolverConfig, SolverState, fit, regenerate, update_p
+from tsrg.solver import SolverConfig, fit, regenerate, update_p
 
 from oracles import fg_residual, kernel_eval, objective, update_q
 
@@ -97,8 +97,7 @@ def test_criterion_4_q_update_stationarity():
             p = rng.standard_normal((8, 4))
             t = rng.standard_normal((8, 4))
             kappa = 1.7
-            state = SolverState(p=p, q=p.copy(), t=t, kappa=kappa)
-            q_star = update_q(state, x_s, ak, lam)
+            q_star = update_q(p, t, kappa, x_s, ak, lam)
             h = 1e-5
             grad = np.zeros_like(q_star)
             for idx in np.ndindex(q_star.shape):
@@ -162,10 +161,10 @@ def test_criterion_6_mmd_identities():
         for m in (a, b):
             for i in range(m.n):
                 for j in range(m.n):
-                    total += kernel_eval(m.column(i), m.column(j), GAUSS) / m.n ** 2
+                    total += kernel_eval(m.data[:, i], m.data[:, j], GAUSS) / m.n ** 2
         for i in range(a.n):
             for j in range(b.n):
-                total -= 2 * kernel_eval(a.column(i), b.column(j), GAUSS) / (a.n * b.n)
+                total -= 2 * kernel_eval(a.data[:, i], b.data[:, j], GAUSS) / (a.n * b.n)
         brute = np.sqrt(max(total, 0.0))
         assert abs(mmd(a, b, GAUSS) - brute) < 1e-10
     ok(6, "MMD self/symmetry/linear-mean/brute-force identities hold")

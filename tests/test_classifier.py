@@ -116,7 +116,7 @@ def test_batched_scores_match_naive_loop():
     scores = decision_scores(model, x)
     for c in range(3):
         for j in range(6):
-            naive = float(np.dot(model.weights[c], x.column(j)) + model.biases[c])
+            naive = float(np.dot(model.weights[c], x.data[:, j]) + model.biases[c])
             assert scores[c, j] == naive
 
 

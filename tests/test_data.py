@@ -141,6 +141,19 @@ class TestManifest:
                 f"cannot read clip {path}: t, h and w must be positive integers")):
             ingest_manifest(manifest)
 
+    @pytest.mark.parametrize("sizes", [{"t": 10 ** 30, "h": 1, "w": 1},
+                                       {"t": 10 ** 6, "h": 10 ** 6, "w": 10 ** 6},
+                                       {"t": 1, "h": 2, "w": 3}],
+                             ids=["beyond-ssize-t", "beyond-memory", "two-voxels-short"])
+    def test_clip_volume_larger_than_file_rejected_before_reading(self, tmp_path, sizes):
+        # the first two volumes exceed any address space, so reading before
+        # checking ends in OverflowError or MemoryError, not an IngestionError
+        path = tmp_path / "clip.raw"
+        path.write_bytes(json.dumps(sizes).encode() + b"\n" + np.zeros(4).tobytes())
+        manifest = DatasetManifest(name="bad", entries=(ManifestEntry(str(path), "a"),))
+        with pytest.raises(IngestionError, match=re.escape(f"{path}: truncated clip volume")):
+            ingest_manifest(manifest)
+
     def test_missing_file_named(self, tmp_path):
         manifest = make_manifest(tmp_path, {"a": 2}, write_files=False)
         with pytest.raises(IngestionError, match="missing file"):

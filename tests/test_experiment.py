@@ -268,6 +268,22 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["synth", "run"], ids=["spec", "label-map"])
+    def test_json_parse_error_names_the_file(self, capsys, tmp_path, dataset_files, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json\n")
+        src, tgt = dataset_files
+        argv = {"synth": ["synth", "--spec", str(bad), "--out-source", str(tmp_path / "s.csv"),
+                          "--out-target", str(tmp_path / "t.csv")],
+                "run": ["run", "--source", str(src), "--target", str(tgt), "--label-map",
+                        str(bad), "--seed", "0", "--out-dir", str(tmp_path / "o")]}[command]
+        status = tsrg.cli.main(argv)
+        assert status == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: Expecting value: line 1 column 1 (char 0)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "source.csv",
+                                                             "target.csv"]
+
     @pytest.mark.parametrize("line, message", [
         ("[1]", "a record must be a JSON object"),
         ('{"tsrg": {}, "mmd_after": 0.5}', "record lacks baseline, mmd_before"),
@@ -338,7 +354,12 @@ class TestCli:
         (["run", "--rho", "1"], "rho must be > 1"),
         (["run", "--epsilon", "nan"], "epsilon must be > 0"),
         (["run", "--lambda", "inf"], "lam must be finite"),
-    ], ids=["grid-bad-lambda-grid", "run-bad-rho", "run-nan-epsilon", "run-inf-lambda"])
+        (["run", "--kernel", "gaussian", "--bandwidth", "inf"],
+         "gaussian bandwidth must be finite"),
+        (["grid", "--lambda-grid", ",", "--mu-grid", "0.001"],
+         "lambda and mu grids must be non-empty"),
+    ], ids=["grid-bad-lambda-grid", "run-bad-rho", "run-nan-epsilon", "run-inf-lambda",
+            "run-inf-bandwidth", "grid-empty-lambda-grid"])
     def test_bad_flag_value_exits_1_without_traceback(self, capsys, tmp_path,
                                                       dataset_files, argv, message):
         src, tgt = dataset_files
@@ -387,11 +408,18 @@ class TestCli:
          "shift_offset entries must be finite"),
         ({"classes": 2, "dim": 3, "shift_offset": [0.0, 0.0, float("-inf")]},
          "shift_offset entries must be finite"),
+        # integers too large for a double
+        ({"classes": 2, "dim": 3, "center_spread": 10 ** 400},
+         "center_spread must be finite"),
+        ({"classes": 2, "dim": 3, "cov_scale": 10 ** 400}, "cov_scale must be finite"),
+        ({"classes": 2, "dim": 3, "shift_offset": [0, -10 ** 400, 0]},
+         "shift_offset entries must be finite"),
     ], ids=["unknown-key", "not-an-object", "string-classes", "float-dim",
             "float-source-count", "null-target-count", "bool-seed", "string-cov-scale",
             "list-center-spread", "nan-cov-scale", "centers-key", "shift-matrix-key",
             "inf-center-spread", "nan-center-spread", "inf-cov-scale", "nan-shift-offset",
-            "inf-shift-offset"])
+            "inf-shift-offset", "huge-int-center-spread", "huge-int-cov-scale",
+            "huge-int-shift-offset"])
     def test_synth_rejects_bad_spec_without_traceback(self, capsys, tmp_path, spec, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))

@@ -69,7 +69,7 @@ class TestGramMatrix:
             for i in range(4):
                 for j in range(2):
                     assert g[i, j] == pytest.approx(
-                        kernel_eval(a.column(i), b.column(j), spec), abs=1e-12)
+                        kernel_eval(a.data[:, i], b.data[:, j], spec), abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -149,10 +149,10 @@ class TestMmd:
         for a, sign in ((x_s, 1), (x_t, 1)):
             for i in range(a.n):
                 for j in range(a.n):
-                    total += kernel_eval(a.column(i), a.column(j), GAUSS) / a.n ** 2
+                    total += kernel_eval(a.data[:, i], a.data[:, j], GAUSS) / a.n ** 2
         for i in range(x_s.n):
             for j in range(x_t.n):
-                total -= 2 * kernel_eval(x_s.column(i), x_t.column(j), GAUSS) / (x_s.n * x_t.n)
+                total -= 2 * kernel_eval(x_s.data[:, i], x_t.data[:, j], GAUSS) / (x_s.n * x_t.n)
         assert mmd(x_s, x_t, GAUSS) == pytest.approx(np.sqrt(max(total, 0.0)), abs=1e-10)
 
     def test_median_heuristic_resolution(self):
@@ -166,6 +166,12 @@ class TestMmd:
 def test_gaussian_bandwidth_must_be_positive(bandwidth):
     with pytest.raises(ValueError, match="^gaussian bandwidth must be > 0$"):
         KernelSpec("gaussian", bandwidth)
+
+
+def test_gaussian_bandwidth_must_be_finite():
+    # an infinite bandwidth makes every kernel value 1
+    with pytest.raises(ValueError, match="^gaussian bandwidth must be finite$"):
+        KernelSpec("gaussian", np.inf)
 
 
 finite_mats = arrays(

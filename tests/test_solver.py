@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tsrg.errors import DimensionError, NumericalError
 from tsrg.kernels import FeatureMatrix, KernelSpec, build_augmented, mmd
-from tsrg.solver import (SolverConfig, SolverState, _q_system, _solve_spd, fit,
+from tsrg.solver import (SolverConfig, _q_system, _solve_spd, fit,
                          load_model, objective_terms, regenerate, save_model,
                          shrink, update_multiplier, update_p)
 
@@ -90,8 +90,7 @@ class TestUpdateQ:
         ak = build_augmented(x_s, x_t, LINEAR)
         rng = np.random.default_rng(5)
         p = rng.standard_normal((9, 3))
-        state = SolverState(p=p, q=p.copy(), t=np.zeros_like(p), kappa=1e12)
-        q = update_q(state, x_s, ak, 0.0)
+        q = update_q(p, np.zeros_like(p), 1e12, x_s, ak, 0.0)
         np.testing.assert_allclose(q, p, atol=1e-6)
 
     @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0, 10.0])
@@ -102,8 +101,7 @@ class TestUpdateQ:
         p = rng.standard_normal((7, 3))
         t = rng.standard_normal((7, 3))
         kappa = 2.0
-        state = SolverState(p=p, q=p.copy(), t=t, kappa=kappa)
-        q_star = update_q(state, x_s, ak, lam)
+        q_star = update_q(p, t, kappa, x_s, ak, lam)
         grad = fd_gradient(lambda q: smooth_lagrangian(q, x_s, ak, lam, p, t, kappa), q_star)
         assert np.max(np.abs(grad)) < 1e-4 * (1 + kappa)
 
@@ -114,12 +112,12 @@ class TestUpdateQ:
         x_t = FeatureMatrix(np.array([[0.0], [1.0]]))
         ak = build_augmented(x_s, x_t, LINEAR)
         kappa = 2.0
-        state = SolverState(p=np.zeros((2, 2)), q=np.zeros((2, 2)),
-                            t=np.zeros((2, 2)), kappa=kappa)
         lam = 1.0
         m = ak.k_s @ ak.k_s.T + lam * np.outer(ak.delta_k, ak.delta_k) + kappa / 2 * np.eye(2)
         expected = np.linalg.inv(m) @ (ak.k_s @ x_s.data.T)
-        np.testing.assert_allclose(update_q(state, x_s, ak, lam), expected, atol=1e-10)
+        zero = np.zeros((2, 2))
+        np.testing.assert_allclose(update_q(zero, zero, kappa, x_s, ak, lam), expected,
+                                   atol=1e-10)
 
 
 class TestSingleSolvePath:
@@ -131,8 +129,7 @@ class TestSingleSolvePath:
         cfg = SolverConfig(lam=3.0, mu=0.0, max_iters=1)
         model, _ = fit(x_s, x_t, spec, cfg)
         zero = np.zeros((12, 4))
-        state = SolverState(p=zero, q=zero.copy(), t=zero.copy(), kappa=cfg.kappa0)
-        q = update_q(state, x_s, build_augmented(x_s, x_t, spec), cfg.lam)
+        q = update_q(zero, zero, cfg.kappa0, x_s, build_augmented(x_s, x_t, spec), cfg.lam)
         assert np.array_equal(model.p, q)
 
 
@@ -204,21 +201,18 @@ class TestUpdateP:
 
 class TestUpdateMultiplier:
     def test_unchanged_when_feasible(self):
-        p = np.ones((2, 2))
-        state = SolverState(p=p, q=p.copy(), t=np.full((2, 2), 3.0), kappa=1.0)
-        t, _ = update_multiplier(state, rho=1.5, kappa_max=10.0)
-        np.testing.assert_array_equal(t, state.t)
+        p, t = np.ones((2, 2)), np.full((2, 2), 3.0)
+        t_new, _ = update_multiplier(p, p.copy(), t, 1.0, rho=1.5, kappa_max=10.0)
+        np.testing.assert_array_equal(t_new, t)
 
     def test_kappa_clamped(self):
-        state = SolverState(p=np.zeros((1, 1)), q=np.zeros((1, 1)),
-                            t=np.zeros((1, 1)), kappa=10.0)
-        _, kappa = update_multiplier(state, rho=1.5, kappa_max=10.0)
+        zero = np.zeros((1, 1))
+        _, kappa = update_multiplier(zero, zero, zero, 10.0, rho=1.5, kappa_max=10.0)
         assert kappa == 10.0
 
     def test_kappa_growth(self):
-        state = SolverState(p=np.zeros((1, 1)), q=np.zeros((1, 1)),
-                            t=np.zeros((1, 1)), kappa=1.0)
-        _, kappa = update_multiplier(state, rho=1.5, kappa_max=10.0)
+        zero = np.zeros((1, 1))
+        _, kappa = update_multiplier(zero, zero, zero, 1.0, rho=1.5, kappa_max=10.0)
         assert kappa == 1.5
 
 
@@ -311,7 +305,7 @@ class TestRegenerate:
         model, _ = fit(x_s, x_t, LINEAR, SolverConfig(lam=1.0, mu=0.01))
         x = FeatureMatrix(np.random.default_rng(19).standard_normal((3, 1)))
         out = regenerate(model, x).data[:, 0]
-        k = np.array([kernel_eval(model.anchors.column(a), x.column(0), model.kernel)
+        k = np.array([kernel_eval(model.anchors.data[:, a], x.data[:, 0], model.kernel)
                       for a in range(model.anchors.n)])
         expected = np.array([sum(model.p[a, i] * k[a] for a in range(model.anchors.n))
                              for i in range(3)])
