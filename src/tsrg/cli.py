@@ -155,8 +155,8 @@ def cmd_grid(args) -> int:
     lines = ["  lambda        mu       WAR       UAR"]
     for row in rows:
         flag = "  <- best" if row.best else ""
-        scores = row.result.tsrg
-        lines.append(f"{row.lam:8g}  {row.mu:8g}  {scores.war:8.4f}  {scores.uar:8.4f}{flag}")
+        cell, scores = row.result.model.config, row.result.tsrg
+        lines.append(f"{cell.lam:8g}  {cell.mu:8g}  {scores.war:8.4f}  {scores.uar:8.4f}{flag}")
     table = "\n".join(lines) + "\n"
     _write_outputs(args.out_dir, {"grid.jsonl": records, "grid.txt": table})
     print(table)

@@ -114,9 +114,7 @@ def run_experiment(source: LabeledDataset, target: LabeledDataset,
 
 @dataclass
 class GridRow:
-    lam: float
-    mu: float
-    result: ExperimentResult
+    result: ExperimentResult         # its model's config holds the cell's lam and mu
     best: bool = False
 
 
@@ -137,7 +135,7 @@ def grid_search(source: LabeledDataset, target: LabeledDataset,
         for mu in mu_grid:
             cell = replace(config, solver=replace(config.solver, lam=lam, mu=mu))
             result = run_experiment(source, target, cell, pair)
-            rows.append(GridRow(lam=lam, mu=mu, result=result))
+            rows.append(GridRow(result))
     best = max(range(len(rows)), key=lambda i: (rows[i].result.tsrg.uar, rows[i].result.tsrg.war, -i))
     rows[best].best = True
     return rows
@@ -150,7 +148,8 @@ def emit_records(rows_or_result, source_name: str = "", target_name: str = "") -
     else:
         records = []
         for row in rows_or_result:
-            rec = row.result.record(source_name, target_name, lam=row.lam, mu=row.mu)
+            cell = row.result.model.config
+            rec = row.result.record(source_name, target_name, lam=cell.lam, mu=cell.mu)
             rec["best"] = row.best
             records.append(rec)
     return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
@@ -159,8 +158,9 @@ def emit_records(rows_or_result, source_name: str = "", target_name: str = "") -
 def parse_records(text: str, name: str = "records") -> list[dict]:
     """The records of a report or grid file, one JSON object per non-blank
     line.  A line that is not an object holding the fields ``tsrg report``
-    renders, with the types it renders them as, is an ``IngestionError``
-    naming ``name`` and the line number."""
+    renders, with the types it renders them as and reports that
+    ``EvalReport.from_dict`` accepts, is an ``IngestionError`` naming
+    ``name`` and the line number."""
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -178,9 +178,10 @@ def parse_records(text: str, name: str = "records") -> list[dict]:
         if missing:
             raise IngestionError(f"{where}: record lacks {', '.join(missing)}")
         for key in ("baseline", "tsrg"):
-            problem = _report_problem(rec[key])
-            if problem:
-                raise IngestionError(f"{where}: {key} {problem}")
+            try:
+                EvalReport.from_dict(rec[key])
+            except ValueError as err:
+                raise IngestionError(f"{where}: {key} {err}") from err
         for key in ("mmd_before", "mmd_after"):
             if not _is_real(rec[key]):
                 raise IngestionError(f"{where}: {key} must be a number")
@@ -190,35 +191,6 @@ def parse_records(text: str, name: str = "records") -> list[dict]:
 
 def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_count(value) -> bool:
-    # EvalReport.from_dict reads counts as int64
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2 ** 63
-
-
-def _report_problem(rep) -> str | None:
-    """Why an ``EvalReport.to_dict`` record cannot be rendered, or None."""
-    if not isinstance(rep, dict):
-        return "must be a JSON object"
-    missing = [k for k in ("confusion", "war", "uar", "class_names", "absent_classes")
-               if k not in rep]
-    if missing:
-        return f"lacks {', '.join(missing)}"
-    names, conf = rep["class_names"], rep["confusion"]
-    if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
-        return "class_names must be a non-empty list of strings"
-    k = len(names)
-    if not (isinstance(conf, list) and len(conf) == k
-            and all(isinstance(row, list) and len(row) == k
-                    and all(_is_count(c) for c in row) for row in conf)):
-        return f"confusion must be a {k} x {k} list of counts"
-    if not (_is_real(rep["war"]) and _is_real(rep["uar"])):
-        return "war and uar must be numbers"
-    if not (isinstance(rep["absent_classes"], list)
-            and all(_is_count(i) and i < k for i in rep["absent_classes"])):
-        return f"absent_classes must be a list of class ids below {k}"
-    return None
 
 
 def render_result(result: ExperimentResult, source_name: str = "source",

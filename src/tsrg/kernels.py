@@ -58,6 +58,8 @@ class KernelSpec:
                 raise ValueError("gaussian bandwidth must be > 0")
             if self.bandwidth == np.inf:  # a constant kernel
                 raise ValueError("gaussian bandwidth must be finite")
+            if not 0 < 2.0 * self.bandwidth * self.bandwidth < np.inf:  # gram_matrix's divisor
+                raise ValueError("gaussian bandwidth must keep 2 * bandwidth**2 positive and finite")
 
     def resolved(self, *mats: FeatureMatrix) -> "KernelSpec":
         """Return a spec with a concrete bandwidth (median heuristic if unset)."""
@@ -67,6 +69,9 @@ class KernelSpec:
         sigma = median_pairwise_distance(pooled)
         if sigma <= 0:
             sigma = 1.0
+        if not math.isfinite(2.0 * sigma * sigma):  # NaN where _sq_dists meets inf - inf
+            raise NonFiniteError(f"the median heuristic gave gaussian bandwidth {sigma:g}, "
+                                 "whose 2 * bandwidth**2 is not finite")
         return KernelSpec("gaussian", sigma)
 
 
@@ -166,4 +171,7 @@ def mmd_squared(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec) -> flo
 
 def mmd(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec) -> float:
     """Empirical MMD: distance between the kernel mean maps of the two sets."""
-    return math.sqrt(max(0.0, mmd_squared(x_s, x_t, spec)))
+    sq = mmd_squared(x_s, x_t, spec)
+    if not math.isfinite(sq):
+        raise NonFiniteError(f"squared MMD is {sq}")
+    return math.sqrt(max(0.0, sq))

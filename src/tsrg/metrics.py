@@ -6,6 +6,7 @@ WAR >> UAR gap flags majority-class bias.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,11 +16,23 @@ from .errors import DimensionError
 
 @dataclass(frozen=True)
 class EvalReport:
-    confusion: np.ndarray            # k x k counts; rows = true, cols = predicted
-    war: float
-    uar: float
+    confusion: np.ndarray            # k x k int64 counts, not all zero; rows = true, cols = predicted
     class_names: tuple[str, ...]
-    absent_classes: tuple[int, ...]  # class ids with zero true samples (excluded from UAR)
+
+    @property
+    def war(self) -> float:
+        return float(self.confusion.trace() / int(self.confusion.sum()))
+
+    @property
+    def uar(self) -> float:
+        row_sums = self.confusion.sum(axis=1)
+        present = row_sums > 0
+        return float((self.confusion.diagonal()[present] / row_sums[present]).mean())
+
+    @property
+    def absent_classes(self) -> tuple[int, ...]:
+        """Class ids with zero true samples, which UAR excludes."""
+        return tuple(int(i) for i in np.flatnonzero(self.confusion.sum(axis=1) == 0))
 
     def to_dict(self) -> dict:
         return {
@@ -31,25 +44,36 @@ class EvalReport:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "EvalReport":
-        return EvalReport(
-            confusion=np.asarray(d["confusion"], dtype=np.int64),
-            war=float(d["war"]),
-            uar=float(d["uar"]),
-            class_names=tuple(d["class_names"]),
-            absent_classes=tuple(d["absent_classes"]),
-        )
+    def from_dict(d) -> "EvalReport":
+        """The report a ``to_dict`` record holds, or a ``ValueError`` saying why
+        ``d`` is not one, such as war, uar or absent_classes its counts do not give."""
+        if not isinstance(d, dict):
+            raise ValueError("must be a JSON object")
+        missing = [k for k in ("confusion", "war", "uar", "class_names", "absent_classes")
+                   if k not in d]
+        if missing:
+            raise ValueError(f"lacks {', '.join(missing)}")
+        names, conf = d["class_names"], d["confusion"]
+        if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
+            raise ValueError("class_names must be a non-empty list of strings")
+        k = len(names)
+        if not (isinstance(conf, list) and len(conf) == k
+                and all(isinstance(row, list) and len(row) == k
+                        and all(type(c) is int and c >= 0 for c in row) for row in conf)
+                and sum(map(sum, conf)) < 2 ** 63):  # summed as int64; type() refuses bool
+            raise ValueError(f"confusion must be a {k} x {k} list of counts")
+        report = report_from_confusion(conf, tuple(names))
+        derived = report.to_dict()
+        keys = ("war", "uar", "absent_classes")  # compared as JSON text, so true is not 1.0
+        if json.dumps([d[k] for k in keys]) != json.dumps([derived[k] for k in keys]):
+            raise ValueError("war, uar and absent_classes must match the confusion matrix")
+        return report
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EvalReport):
             return NotImplemented
-        return (
-            np.array_equal(self.confusion, other.confusion)
-            and self.war == other.war
-            and self.uar == other.uar
-            and self.class_names == other.class_names
-            and self.absent_classes == other.absent_classes
-        )
+        return (np.array_equal(self.confusion, other.confusion)
+                and self.class_names == other.class_names)
 
 
 def confusion_matrix(true_labels: np.ndarray, predicted: np.ndarray, k: int) -> np.ndarray:
@@ -70,22 +94,11 @@ def confusion_matrix(true_labels: np.ndarray, predicted: np.ndarray, k: int) -> 
 def report_from_confusion(conf: np.ndarray,
                           class_names: tuple[str, ...] | None = None) -> EvalReport:
     conf = np.asarray(conf, dtype=np.int64)
-    k = conf.shape[0]
     if class_names is None:
-        class_names = tuple(str(i) for i in range(k))
-    total = int(conf.sum())
-    if total == 0:
+        class_names = tuple(str(i) for i in range(conf.shape[0]))
+    if int(conf.sum()) == 0:
         raise ValueError("confusion matrix is empty")
-    row_sums = conf.sum(axis=1)
-    present = row_sums > 0
-    recalls = conf.diagonal()[present] / row_sums[present]
-    return EvalReport(
-        confusion=conf,
-        war=float(conf.trace() / total),
-        uar=float(recalls.mean()),
-        class_names=tuple(class_names),
-        absent_classes=tuple(int(i) for i in np.flatnonzero(~present)),
-    )
+    return EvalReport(confusion=conf, class_names=tuple(class_names))
 
 
 def evaluate(true_labels: np.ndarray, predicted: np.ndarray, k: int,

@@ -313,15 +313,27 @@ class TestCli:
          "tsrg confusion must be a 2 x 2 list of counts"),
         ({"tsrg": dict(GOOD_REPORT, confusion=[[2, 0], [2 ** 63, 1]])},
          "tsrg confusion must be a 2 x 2 list of counts"),
-        ({"baseline": dict(GOOD_REPORT, uar=None)}, "baseline war and uar must be numbers"),
+        ({"tsrg": dict(GOOD_REPORT, confusion=[[2 ** 62, 2 ** 62], [0, 1]])},
+         "tsrg confusion must be a 2 x 2 list of counts"),
+        ({"baseline": dict(GOOD_REPORT, uar=None)},
+         "baseline war, uar and absent_classes must match the confusion matrix"),
         ({"baseline": dict(GOOD_REPORT, absent_classes=[2])},
-         "baseline absent_classes must be a list of class ids below 2"),
+         "baseline war, uar and absent_classes must match the confusion matrix"),
+        ({"baseline": dict(GOOD_REPORT, war=0.99, uar=0.99, absent_classes=[1])},
+         "baseline war, uar and absent_classes must match the confusion matrix"),
+        ({"tsrg": dict(GOOD_REPORT, uar=0.5)},
+         "tsrg war, uar and absent_classes must match the confusion matrix"),
+        ({"tsrg": dict(GOOD_REPORT, confusion=[[1, 0], [0, 1]], war=True, uar=1.0)},
+         "tsrg war, uar and absent_classes must match the confusion matrix"),
+        ({"tsrg": dict(GOOD_REPORT, confusion=[[0, 0], [0, 0]])},
+         "tsrg confusion matrix is empty"),
         ({"mmd_before": None}, "mmd_before must be a number"),
         ({"mmd_after": True}, "mmd_after must be a number"),
         ({"lambda": 1.0}, "record lacks mu"),
     ], ids=["baseline-int", "report-lacks-fields", "class-name-int", "confusion-shape",
-            "confusion-float", "confusion-overflow", "uar-null", "absent-out-of-range",
-            "mmd-null", "mmd-bool", "lambda-without-mu"])
+            "confusion-float", "confusion-overflow", "confusion-sum-overflow", "uar-null",
+            "absent-out-of-range", "scores-contradict-counts", "uar-contradicts-counts",
+            "war-bool", "confusion-all-zero", "mmd-null", "mmd-bool", "lambda-without-mu"])
     def test_report_rejects_mistyped_record_without_traceback(self, capsys, tmp_path,
                                                               change, message):
         # an int mmd_before is a number: each case fails on its own change only
@@ -356,10 +368,15 @@ class TestCli:
         (["run", "--lambda", "inf"], "lam must be finite"),
         (["run", "--kernel", "gaussian", "--bandwidth", "inf"],
          "gaussian bandwidth must be finite"),
+        (["run", "--kernel", "gaussian", "--bandwidth", "1e200"],
+         "gaussian bandwidth must keep 2 * bandwidth**2 positive and finite"),
+        (["run", "--kernel", "gaussian", "--bandwidth", "1e-170"],
+         "gaussian bandwidth must keep 2 * bandwidth**2 positive and finite"),
         (["grid", "--lambda-grid", ",", "--mu-grid", "0.001"],
          "lambda and mu grids must be non-empty"),
     ], ids=["grid-bad-lambda-grid", "run-bad-rho", "run-nan-epsilon", "run-inf-lambda",
-            "run-inf-bandwidth", "grid-empty-lambda-grid"])
+            "run-inf-bandwidth", "run-huge-bandwidth", "run-tiny-bandwidth",
+            "grid-empty-lambda-grid"])
     def test_bad_flag_value_exits_1_without_traceback(self, capsys, tmp_path,
                                                       dataset_files, argv, message):
         src, tgt = dataset_files

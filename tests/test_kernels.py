@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tsrg.errors import DimensionError
+from tsrg.errors import DimensionError, NonFiniteError
 from tsrg.kernels import (AugmentedKernels, FeatureMatrix, KernelSpec,
                           build_augmented, gram_matrix, mmd, mmd_squared)
 
@@ -172,6 +172,37 @@ def test_gaussian_bandwidth_must_be_finite():
     # an infinite bandwidth makes every kernel value 1
     with pytest.raises(ValueError, match="^gaussian bandwidth must be finite$"):
         KernelSpec("gaussian", np.inf)
+
+
+@pytest.mark.parametrize("bandwidth", [1e200, 9.5e153, 1e-170, 1.1e-162])
+def test_gaussian_bandwidth_must_keep_its_divisor_positive_and_finite(bandwidth):
+    # 2 * sigma**2 overflows to inf (a constant kernel) or underflows to 0
+    # (a 0/0 = NaN Gram diagonal)
+    with pytest.raises(ValueError, match=r"^gaussian bandwidth must keep 2 \* bandwidth\*\*2 "
+                                         r"positive and finite$"):
+        KernelSpec("gaussian", bandwidth)
+
+
+@pytest.mark.parametrize("bandwidth", [9.4e153, 1.2e-162])
+def test_gaussian_bandwidth_range_ends_are_accepted(bandwidth):
+    assert KernelSpec("gaussian", bandwidth).bandwidth == bandwidth
+
+
+# squared norms of columns this large overflow, so _sq_dists meets inf - inf
+HUGE = np.random.default_rng(13).standard_normal((5, 8)) * 1e200
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("spec", [LINEAR, GAUSS], ids=["linear", "gaussian"])
+def test_mmd_of_overflowing_samples_raises(spec):
+    with pytest.raises(NonFiniteError, match="^squared MMD is (nan|inf)$"):
+        mmd(fm(HUGE[:, :4]), fm(HUGE[:, 4:]), spec)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_median_heuristic_of_overflowing_samples_raises():
+    with pytest.raises(NonFiniteError, match="^the median heuristic gave gaussian bandwidth nan"):
+        KernelSpec("gaussian").resolved(fm(HUGE[:, :4]), fm(HUGE[:, 4:]))
 
 
 finite_mats = arrays(

@@ -1,8 +1,10 @@
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsrg.errors import DimensionError
@@ -99,3 +101,34 @@ def test_render_text_shows_percentages():
     assert "demo" in text
     assert "80.00" in text and "100.00" in text
     assert "WAR = 90.00%" in text
+
+
+@st.composite
+def count_matrices(draw):
+    """k x k counts, k in 2..5, some rows possibly all zero, not all zero."""
+    k = draw(st.integers(2, 5))
+    conf = np.array(draw(st.lists(st.lists(st.integers(0, 30), min_size=k, max_size=k),
+                                  min_size=k, max_size=k)), dtype=np.int64)
+    conf[draw(st.lists(st.booleans(), min_size=k, max_size=k))] = 0
+    assume(conf.any())
+    return conf
+
+
+@settings(max_examples=100, deadline=None)
+@given(count_matrices())
+def test_scores_are_derived_from_the_counts(conf):
+    report = report_from_confusion(conf)
+    rows = [sum(int(c) for c in row) for row in conf]
+    present = [i for i, n in enumerate(rows) if n]
+    assert report.war == float(Fraction(int(conf.trace()), sum(rows)))
+    exact_uar = sum(Fraction(int(conf[i, i]), rows[i]) for i in present) / len(present)
+    assert math.isclose(report.uar, exact_uar, rel_tol=1e-14)
+    assert report.absent_classes == tuple(i for i, n in enumerate(rows) if not n)
+
+    assert EvalReport.from_dict(report.to_dict()) == report
+    record = json.loads(json.dumps(report.to_dict()))
+    assert EvalReport.from_dict(record) == report
+    record["uar"] = float(np.nextafter(record["uar"], 2.0))
+    with pytest.raises(ValueError, match="^war, uar and absent_classes must match"):
+        EvalReport.from_dict(record)
+
