@@ -14,11 +14,11 @@ from typing import Callable
 from .data import (SynthSpec, ingest_csv, ingest_manifest, load_manifest,
                    synth_generate, write_dataset_csv)
 from .errors import IngestionError, SpecError, TsrgError
-from .experiment import (ExperimentConfig, emit_records, grid_search,
-                         parse_records, render_result, run_experiment)
+from .experiment import (ExperimentConfig, emit_records, grid_search, read_reports,
+                         render_result, run_experiment)
 from .kernels import KernelSpec
 from .lbptop import LbpTopParams
-from .metrics import EvalReport, render_text
+from .metrics import render_text
 from .solver import SolverConfig, save_model
 
 
@@ -164,13 +164,13 @@ def cmd_grid(args) -> int:
 
 
 def cmd_report(args) -> int:
-    for rec in parse_records(Path(args.records).read_text(), args.records):
+    for rec, baseline, adapted in read_reports(Path(args.records).read_text(), args.records):
         header = f"{rec.get('source', '?')} -> {rec.get('target', '?')}"
         if rec.get("lambda") is not None:
             header += f"  (lambda={rec['lambda']}, mu={rec['mu']})"
         print(header)
-        print(render_text(EvalReport.from_dict(rec["baseline"]), "baseline (no adaptation)"))
-        print(render_text(EvalReport.from_dict(rec["tsrg"]), "re-generated target"))
+        print(render_text(baseline, "baseline (no adaptation)"))
+        print(render_text(adapted, "re-generated target"))
         print(f"mmd: {rec['mmd_before']:.6g} -> {rec['mmd_after']:.6g}\n")
     return 0
 

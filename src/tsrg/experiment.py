@@ -156,11 +156,17 @@ def emit_records(rows_or_result, source_name: str = "", target_name: str = "") -
 
 
 def parse_records(text: str, name: str = "records") -> list[dict]:
-    """The records of a report or grid file, one JSON object per non-blank
-    line.  A line that is not an object holding the fields ``tsrg report``
-    renders, with the types it renders them as and reports that
-    ``EvalReport.from_dict`` accepts, is an ``IngestionError`` naming
-    ``name`` and the line number."""
+    """The records of a report or grid file as ``read_reports`` checks them,
+    each the JSON object its line holds."""
+    return [rec for rec, _, _ in read_reports(text, name)]
+
+
+def read_reports(text: str, name: str = "records") -> list[tuple[dict, EvalReport, EvalReport]]:
+    """Each record of a report or grid file, one JSON object per non-blank
+    line, with its baseline and adapted reports.  A line that is not an
+    object holding the fields ``tsrg report`` renders, with the types it
+    renders them as and reports that ``EvalReport.from_dict`` accepts, is an
+    ``IngestionError`` naming ``name`` and the line number."""
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -177,15 +183,16 @@ def parse_records(text: str, name: str = "records") -> list[dict]:
             missing.append("mu")
         if missing:
             raise IngestionError(f"{where}: record lacks {', '.join(missing)}")
+        reports = []
         for key in ("baseline", "tsrg"):
             try:
-                EvalReport.from_dict(rec[key])
+                reports.append(EvalReport.from_dict(rec[key]))
             except ValueError as err:
                 raise IngestionError(f"{where}: {key} {err}") from err
         for key in ("mmd_before", "mmd_after"):
             if not _is_real(rec[key]):
                 raise IngestionError(f"{where}: {key} must be a number")
-        records.append(rec)
+        records.append((rec, *reports))
     return records
 
 

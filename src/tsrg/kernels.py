@@ -146,6 +146,10 @@ def build_augmented(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec) ->
     return AugmentedKernels(k_s=full[:, : x_s.n], k_t=full[:, x_s.n :])
 
 
+def _mean_gap(x_s: FeatureMatrix, x_t: FeatureMatrix) -> np.ndarray:
+    return x_s.data.mean(axis=1) - x_t.data.mean(axis=1)
+
+
 def mmd_squared(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec) -> float:
     """Biased squared MMD: the squared distance between the kernel mean maps.
 
@@ -159,8 +163,9 @@ def mmd_squared(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec) -> flo
     if x_s.d != x_t.d:
         raise DimensionError(f"source/target dimensions differ: {x_s.d} vs {x_t.d}")
     if spec.kind == "linear":
-        delta = x_s.data.mean(axis=1) - x_t.data.mean(axis=1)
-        return float(delta @ delta)
+        delta = _mean_gap(x_s, x_t)
+        with np.errstate(over="ignore"):  # inf is the answer; ``mmd`` rescales
+            return float(delta @ delta)
     spec = spec.resolved(x_s, x_t)
 
     def block_mean(a: FeatureMatrix, b: FeatureMatrix) -> float:
@@ -172,6 +177,14 @@ def mmd_squared(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec) -> flo
 def mmd(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec) -> float:
     """Empirical MMD: distance between the kernel mean maps of the two sets."""
     sq = mmd_squared(x_s, x_t, spec)
+    if sq == math.inf and spec.kind == "linear":
+        # the squared distance overflowed, which the distance itself may not
+        delta = _mean_gap(x_s, x_t)
+        scale = float(np.max(np.abs(delta)))
+        unit = delta / scale
+        dist = scale * math.sqrt(float(unit @ unit))
+        if math.isfinite(dist):
+            return dist
     if not math.isfinite(sq):
         raise NonFiniteError(f"squared MMD is {sq}")
     return math.sqrt(max(0.0, sq))

@@ -9,6 +9,21 @@ histogram per block and plane is concatenated into the feature vector.
 
 Only centers whose full circular neighborhood (in the plane's two axes)
 lies inside the block contribute; there is no padding.
+
+Each plane's codes come from one pass over contiguous 1-D spans of the
+flattened volume.  A neighbor shift (su, sv) on a plane is the flat offset
+su * stride_u + sv * stride_v, so every operand is ``flat[lo+off:hi+off]``,
+where [lo, hi) runs from the plane's first valid center to its last.  The
+positions in between that are not valid centers are computed too and cut
+away afterwards.  A bit is set where the bilinear difference
+w1 (s1 - c) + w2 (s2 - c) + ... >= 0, its terms added in that order.  Two
+shortcuts keep every bit of that rule:
+
+* the sum starts from its first term, not from 0.0: adding 0.0 can change
+  only the sign of a zero result, and ``>= 0`` treats -0.0 like 0.0;
+* a neighbor at an integer offset has one term of weight 1.0 and is
+  compared as ``s >= c``: for finite pixels s - c rounds to 0 only when
+  s == c and otherwise keeps the sign of the exact difference.
 """
 from __future__ import annotations
 
@@ -110,15 +125,30 @@ def _bilinear_terms(du: float, dv: float) -> list[tuple[int, int, float]]:
     return terms
 
 
-def _shifted(vol: np.ndarray, axis_u: int, axis_v: int, su: int, sv: int,
-             r: int) -> np.ndarray:
-    """Slice `vol` to the valid-center region, displaced by (su, sv) along
-    the two plane axes."""
-    idx = [slice(None)] * 3
-    for axis, s in ((axis_u, su), (axis_v, sv)):
-        n = vol.shape[axis]
-        idx[axis] = slice(r + s, n - r + s)
-    return vol[tuple(idx)]
+@lru_cache(maxsize=128)
+def _span_plan(shape: tuple[int, int, int], axis_u: int, axis_v: int,
+               params: LbpTopParams):
+    """Flat layout of one plane's code pass over a C-ordered volume.
+
+    Returns ``(lo, hi, neighbors, valid)``: ``[lo, hi)`` runs from the
+    plane's first valid center to its last in the flattened volume, each
+    neighbor is a tuple of ``(flat offset, weight)`` bilinear terms, and
+    ``valid`` cuts the valid centers out of a volume-shaped array.
+    """
+    r = params.radius
+    strides = (shape[1] * shape[2], shape[2], 1)
+    last = [n - 1 for n in shape]
+    last[axis_u] -= r
+    last[axis_v] -= r
+    lo = r * (strides[axis_u] + strides[axis_v])
+    hi = sum(i * s for i, s in zip(last, strides)) + 1
+    neighbors = tuple(
+        tuple((su * strides[axis_u] + sv * strides[axis_v], wgt)
+              for su, sv, wgt in _bilinear_terms(du, dv))
+        for du, dv in _neighbor_offsets(params))
+    valid = tuple(slice(r, n - r) if axis in (axis_u, axis_v) else slice(None)
+                  for axis, n in enumerate(shape))
+    return lo, hi, neighbors, valid
 
 
 def _plane_codes(vol: np.ndarray, axis_u: int, axis_v: int,
@@ -128,15 +158,29 @@ def _plane_codes(vol: np.ndarray, axis_u: int, axis_v: int,
     Returned array has the full extent along the third axis and extent
     reduced by 2*radius along axis_u and axis_v.
     """
-    r = params.radius
-    center = _shifted(vol, axis_u, axis_v, 0, 0, r)
-    codes = np.zeros(center.shape, dtype=np.int64)
-    for p, (du, dv) in enumerate(_neighbor_offsets(params)):
-        diff = np.zeros(center.shape)
-        for su, sv, wgt in _bilinear_terms(du, dv):
-            diff += wgt * (_shifted(vol, axis_u, axis_v, su, sv, r) - center)
-        codes |= (diff >= 0.0).astype(np.int64) << p
-    return codes
+    lo, hi, neighbors, valid = _span_plan(vol.shape, axis_u, axis_v, params)
+    flat = vol.ravel()
+    center = flat[lo:hi]
+    codes = np.zeros(vol.shape, dtype=np.min_scalar_type(2 ** params.points - 1))
+    span = codes.reshape(-1)[lo:hi]
+    acc, term = np.empty(hi - lo), np.empty(hi - lo)
+    bits, shifted = np.empty(hi - lo, dtype=bool), np.empty_like(span)
+    for p, terms in enumerate(neighbors):
+        if len(terms) == 1:  # an integer offset: one term, of weight 1.0
+            off = terms[0][0]
+            np.greater_equal(flat[lo + off:hi + off], center, out=bits)
+        else:
+            (off, wgt), *rest = terms
+            np.subtract(flat[lo + off:hi + off], center, out=acc)
+            acc *= wgt
+            for off, wgt in rest:
+                np.subtract(flat[lo + off:hi + off], center, out=term)
+                term *= wgt
+                acc += term
+            np.greater_equal(acc, 0.0, out=bits)
+        np.left_shift(bits, p, out=shifted, dtype=span.dtype)
+        span |= shifted
+    return codes[valid]
 
 
 def _block_bounds(n: int, g: int) -> list[tuple[int, int]]:
@@ -150,6 +194,24 @@ _PLANES = (
     ("XT", 0, 2),
     ("YT", 0, 1),
 )
+
+
+@lru_cache(maxsize=128)
+def _block_windows(h: int, w: int, params: LbpTopParams):
+    """(plane index, window into that plane's margin-trimmed codes) for each
+    histogram of the feature vector, in feature order."""
+    r = params.radius
+    windows = []
+    for g in params.grids:
+        for r0, r1 in _block_bounds(h, g):
+            for c0, c1 in _block_bounds(w, g):
+                for plane, (_, axis_u, axis_v) in enumerate(_PLANES):
+                    window = [slice(None)] * 3
+                    for axis, (lo, hi) in ((1, (r0, r1)), (2, (c0, c1))):
+                        trim = 2 * r if axis in (axis_u, axis_v) else 0
+                        window[axis] = slice(lo, hi - trim)
+                    windows.append((plane, tuple(window)))
+    return tuple(windows)
 
 
 def extract(clip: VideoClip, params: LbpTopParams = LbpTopParams(),
@@ -175,26 +237,12 @@ def extract(clip: VideoClip, params: LbpTopParams = LbpTopParams(),
             )
 
     lut = uniform_lut(params.points)
-    nbins = params.num_bins
-    plane_codes = {name: lut[_plane_codes(clip.frames, au, av, params)]
-                   for name, au, av in _PLANES}
-
-    pieces = []
-    for g in params.grids:
-        for r0, r1 in _block_bounds(h, g):
-            for c0, c1 in _block_bounds(w, g):
-                for name, axis_u, axis_v in _PLANES:
-                    codes = plane_codes[name]
-                    # map the block window into the margin-trimmed code array
-                    sl = [slice(None)] * 3
-                    for axis, (lo, hi) in ((1, (r0, r1)), (2, (c0, c1))):
-                        if axis in (axis_u, axis_v):
-                            sl[axis] = slice(lo, hi - 2 * r)
-                        else:
-                            sl[axis] = slice(lo, hi)
-                    block = codes[tuple(sl)]
-                    hist = np.bincount(block.ravel(), minlength=nbins).astype(np.float64)
-                    if normalize:
-                        hist /= hist.sum()
-                    pieces.append(hist)
-    return np.concatenate(pieces)
+    codes = [lut[_plane_codes(clip.frames, au, av, params)] for _, au, av in _PLANES]
+    windows = _block_windows(h, w, params)
+    hists = np.empty((len(windows), params.num_bins))
+    for hist, (plane, window) in zip(hists, windows):
+        hist[:] = np.bincount(codes[plane][window].ravel(), minlength=params.num_bins)
+    if normalize:
+        # the counts are exact integers, so each row sum is exact too
+        hists /= hists.sum(axis=1, keepdims=True)
+    return hists.ravel()

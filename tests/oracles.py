@@ -1,6 +1,6 @@
 """Reference computations the package itself never runs, kept for the tests:
-quantities, a step-by-step IALM loop, a primal-space SVM solver and a writer
-for packed raw clips."""
+quantities, a step-by-step IALM loop, a primal-space SVM solver, a writer
+for packed raw clips and LBP-TOP on strided 3-D views."""
 import json
 from pathlib import Path
 
@@ -8,7 +8,8 @@ import numpy as np
 
 from tsrg.errors import DimensionError, NonFiniteError
 from tsrg.kernels import AugmentedKernels, FeatureMatrix, KernelSpec, build_augmented
-from tsrg.lbptop import LbpTopParams, _bilinear_terms, _neighbor_offsets, uniform_lut
+from tsrg.lbptop import (_PLANES, LbpTopParams, VideoClip, _bilinear_terms, _block_bounds,
+                         _neighbor_offsets, uniform_lut)
 from tsrg.solver import (SolverConfig, TsrgModel, _q_system, _solve_spd, objective_terms,
                          update_multiplier, update_p)
 
@@ -119,6 +120,61 @@ def lbp_code(plane_patch: np.ndarray, params: LbpTopParams) -> int:
         if diff >= 0.0:
             code |= 1 << p
     return int(uniform_lut(params.points)[code])
+
+
+def _shifted(vol: np.ndarray, axis_u: int, axis_v: int, su: int, sv: int,
+             r: int) -> np.ndarray:
+    """Slice `vol` to the valid-center region, displaced by (su, sv) along
+    the two plane axes."""
+    idx = [slice(None)] * 3
+    for axis, s in ((axis_u, su), (axis_v, sv)):
+        n = vol.shape[axis]
+        idx[axis] = slice(r + s, n - r + s)
+    return vol[tuple(idx)]
+
+
+def plane_codes_reference(vol: np.ndarray, axis_u: int, axis_v: int,
+                          params: LbpTopParams) -> np.ndarray:
+    """Raw LBP codes of one plane from strided 3-D views of the volume, each
+    bit from ``0.0 + sum of weight * (neighbor - center)`` over the bilinear
+    terms; same shape as ``lbptop._plane_codes``."""
+    r = params.radius
+    center = _shifted(vol, axis_u, axis_v, 0, 0, r)
+    codes = np.zeros(center.shape, dtype=np.int64)
+    for p, (du, dv) in enumerate(_neighbor_offsets(params)):
+        diff = np.zeros(center.shape)
+        for su, sv, wgt in _bilinear_terms(du, dv):
+            diff += wgt * (_shifted(vol, axis_u, axis_v, su, sv, r) - center)
+        codes |= (diff >= 0.0).astype(np.int64) << p
+    return codes
+
+
+def extract_reference(clip: VideoClip, params: LbpTopParams,
+                      normalize: bool = True) -> np.ndarray:
+    """``lbptop.extract`` on ``plane_codes_reference``, one histogram at a
+    time, for clips ``extract`` accepts."""
+    _, h, w = clip.shape
+    r = params.radius
+    lut = uniform_lut(params.points)
+    codes = {name: lut[plane_codes_reference(clip.frames, au, av, params)]
+             for name, au, av in _PLANES}
+    pieces = []
+    for g in params.grids:
+        for r0, r1 in _block_bounds(h, g):
+            for c0, c1 in _block_bounds(w, g):
+                for name, axis_u, axis_v in _PLANES:
+                    sl = [slice(None)] * 3
+                    for axis, (lo, hi) in ((1, (r0, r1)), (2, (c0, c1))):
+                        if axis in (axis_u, axis_v):
+                            sl[axis] = slice(lo, hi - 2 * r)
+                        else:
+                            sl[axis] = slice(lo, hi)
+                    hist = np.bincount(codes[name][tuple(sl)].ravel(),
+                                       minlength=params.num_bins).astype(np.float64)
+                    if normalize:
+                        hist /= hist.sum()
+                    pieces.append(hist)
+    return np.concatenate(pieces)
 
 
 def dual_cd_reference(x_aug: np.ndarray, y: np.ndarray, c: float,

@@ -5,6 +5,7 @@ import pytest
 
 import tsrg.cli
 import tsrg.experiment
+import tsrg.metrics
 from tsrg.data import SynthSpec, synth_generate, write_dataset_csv
 from tsrg.experiment import (ExperimentConfig, emit_records, grid_search,
                              parse_records, render_result, run_experiment)
@@ -346,6 +347,35 @@ class TestCli:
         assert status == 1
         assert captured.err == f"error: {records}:1: {message}\n"
         assert captured.out == ""
+
+    def test_report_checks_each_report_once(self, monkeypatch, capsys, tmp_path):
+        calls = []
+        from_dict = tsrg.metrics.EvalReport.from_dict
+
+        def counted(d):
+            calls.append(d)
+            return from_dict(d)
+        monkeypatch.setattr(tsrg.metrics.EvalReport, "from_dict", staticmethod(counted))
+        adapted = dict(self.GOOD_REPORT, confusion=[[2, 0], [0, 2]], war=1.0, uar=1.0)
+        record = {"baseline": self.GOOD_REPORT, "tsrg": adapted, "mmd_before": 1,
+                  "mmd_after": 0.5, "source": "s", "target": "t", "lambda": 1.0, "mu": 0.01}
+        records = tmp_path / "report.jsonl"
+        records.write_text(json.dumps(record) + "\n")
+        assert tsrg.cli.main(["report", "--records", str(records)]) == 0
+        assert calls == [self.GOOD_REPORT, adapted]
+        assert capsys.readouterr().out == (
+            "s -> t  (lambda=1.0, mu=0.01)\n"
+            "baseline (no adaptation)\n"
+            "                   a         b\n"
+            "a             100.00      0.00\n"
+            "b              50.00     50.00\n"
+            "WAR = 75.00%  UAR = 75.00%\n\n"
+            "re-generated target\n"
+            "                   a         b\n"
+            "a             100.00      0.00\n"
+            "b               0.00    100.00\n"
+            "WAR = 100.00%  UAR = 100.00%\n\n"
+            "mmd: 1 -> 0.5\n\n")
 
     def test_run_writes_nothing_when_a_write_fails(self, monkeypatch, capsys, tmp_path,
                                                    dataset_files):

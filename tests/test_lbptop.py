@@ -1,11 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsrg.errors import ClipTooSmall, DimensionError, NonFiniteError
-from tsrg.lbptop import (LbpTopParams, VideoClip, _block_bounds, _PLANES,
+from tsrg.lbptop import (LbpTopParams, VideoClip, _block_bounds, _PLANES, _plane_codes,
                          circular_transitions, extract, uniform_lut)
 
-from oracles import lbp_code
+from oracles import extract_reference, lbp_code, plane_codes_reference
 
 DEFAULT = LbpTopParams()
 SMALL = LbpTopParams(grids=(1, 2))
@@ -151,3 +155,67 @@ class TestExtract:
         bad[0, 0, 0] = np.nan
         with pytest.raises(NonFiniteError):
             VideoClip(bad)
+
+
+@st.composite
+def lbp_cases(draw):
+    """Parameters and a clip that fits them: tie-heavy (2 to 5 evenly spaced
+    gray levels), 8-bit or float pixels, sometimes through a non-contiguous
+    view."""
+    r = draw(st.integers(1, 3))
+    params = LbpTopParams(radius=r, points=draw(st.sampled_from((4, 6, 8, 16))),
+                          grids=tuple(draw(st.lists(st.integers(1, 3), min_size=1,
+                                                    max_size=2, unique=True))))
+    side, g = 2 * r + 1, max(params.grids)
+    shape = (draw(st.integers(side, side + 4)),
+             g * side + draw(st.integers(0, 5)), g * side + draw(st.integers(0, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("ties", "bytes", "uint8", "float")))
+    if kind == "ties":
+        levels = rng.integers(0, draw(st.integers(2, 5)), size=shape)
+        frames = levels * draw(st.sampled_from((1.0, 0.1, 3.7)))
+    elif kind == "bytes":
+        frames = rng.integers(0, 256, size=shape).astype(float)
+    elif kind == "uint8":
+        frames = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    else:
+        frames = rng.standard_normal(shape) * 10.0 ** int(rng.integers(-3, 4))
+    if draw(st.booleans()):
+        frames = frames[:, ::-1, ::-1]
+    return VideoClip(frames), params
+
+
+@settings(max_examples=60, deadline=None)
+@given(lbp_cases())
+def test_flat_span_pass_matches_strided_reference(case):
+    clip, params = case
+    for _, axis_u, axis_v in _PLANES:
+        np.testing.assert_array_equal(
+            _plane_codes(clip.frames, axis_u, axis_v, params),
+            plane_codes_reference(clip.frames, axis_u, axis_v, params))
+    for normalize in (True, False):
+        assert (extract(clip, params, normalize).tobytes()
+                == extract_reference(clip, params, normalize).tobytes())
+
+
+def test_bilinear_terms_add_in_order():
+    # on this clip, adding each neighbor's last bilinear term first instead
+    # of last changes the features
+    frames = np.random.default_rng(0).integers(0, 5, size=(9, 13, 13)) * 3.7
+    clip, params = VideoClip(frames), LbpTopParams(radius=2, points=16, grids=(1,))
+    assert extract(clip, params).tobytes() == extract_reference(clip, params).tobytes()
+
+
+@pytest.mark.parametrize("seed, shape, grids, digest", [
+    (0, (7, 57, 61), (1, 2, 4), "356a3a5782bd0fa7016f283d30f9f9de178e05d15bd666f60dbb41a751eb9b02"),
+    (0, (7, 57, 61), (1, 2, 4, 8), "5084acb8466c3740297acc1fb9a1a8c55cbfbc2b4829a5178e00fe3d0e45a972"),
+    (1, (9, 63, 59), (1, 2, 4), "7c2083f6724e187318f51743e75852571f5dc391cc2e89bbf70612f456d0629c"),
+    (1, (9, 63, 59), (1, 2, 4, 8), "71c6e46bcc4df538845ca4b42dee4268c409b1ec1b2918f491cdfb98175a4835"),
+    (2, (11, 64, 64), (1, 2, 4), "5f311cda910e5bed41e659be5f8b0001b7aa21cdb0f842feea157629439f9198"),
+    (2, (11, 64, 64), (1, 2, 4, 8), "376a0273dc35b5540628b36bc7af537b502311c1754dadab23c31a98fc7261c0"),
+])
+def test_feature_bytes_are_pinned(seed, shape, grids, digest):
+    # digests of the strided-view implementation's features on 8-bit clips
+    frames = np.random.default_rng(seed).integers(0, 256, size=shape).astype(float)
+    feats = extract(VideoClip(frames), LbpTopParams(grids=grids))
+    assert hashlib.sha256(feats.tobytes()).hexdigest() == digest
