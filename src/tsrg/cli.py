@@ -29,11 +29,6 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
                    default=ExperimentConfig.kernel.kind)
     p.add_argument("--bandwidth", type=float, default=None,
                    help="gaussian bandwidth (default: median heuristic)")
-    p.add_argument("--kappa0", type=float, default=SolverConfig.kappa0)
-    p.add_argument("--rho", type=float, default=SolverConfig.rho)
-    p.add_argument("--kappa-max", type=float, default=SolverConfig.kappa_max)
-    p.add_argument("--epsilon", type=float, default=SolverConfig.epsilon)
-    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     p.add_argument("--penalty-c", type=float, default=ExperimentConfig.penalty_c)
     p.add_argument("--standardize", action="store_true",
                    help="per-dimension standardization fitted on source")
@@ -67,9 +62,7 @@ def _experiment_config(args, **penalties: float) -> ExperimentConfig:
     leaves at their defaults for ``grid_search`` to replace per cell."""
     return ExperimentConfig(
         kernel=KernelSpec(args.kernel, args.bandwidth),
-        solver=SolverConfig(kappa0=args.kappa0, rho=args.rho,
-                            kappa_max=args.kappa_max, epsilon=args.epsilon,
-                            max_iters=args.max_iters, **penalties),
+        solver=SolverConfig(**penalties),
         penalty_c=args.penalty_c,
         standardize=args.standardize,
         train_on_regenerated=args.train_on_regenerated,
@@ -102,7 +95,7 @@ def cmd_extract(args) -> int:
     manifest = load_manifest(args.manifest)
     manifest.validate_counts()
     dataset = ingest_manifest(manifest, params)
-    write_dataset_csv(args.out, dataset)
+    _write_files({Path(args.out): lambda path: write_dataset_csv(path, dataset)})
     print(f"wrote {dataset.features.n} feature vectors of length {dataset.features.d}")
     return 0
 

@@ -44,6 +44,8 @@ class LbpTopParams:
     def __post_init__(self):
         if self.radius < 1 or self.points < 1:
             raise ValueError("radius and points must be positive")
+        if self.points > 16:  # codes fit uint16 and uniform_lut has 2**points entries
+            raise ValueError("points must be at most 16")
         if not self.grids or any(g < 1 for g in self.grids):
             raise ValueError("grids must be a non-empty list of positive divisions")
         object.__setattr__(self, "grids", tuple(self.grids))
@@ -229,8 +231,8 @@ def extract(clip: VideoClip, params: LbpTopParams = LbpTopParams(),
             f"clip {t}x{h}x{w} smaller than {side} along some axis for radius {r}"
         )
     for g in params.grids:
-        if any(hi - lo < side for lo, hi in _block_bounds(h, g)) or \
-           any(hi - lo < side for lo, hi in _block_bounds(w, g)):
+        # some block of _block_bounds(n, g) is narrower than side exactly when g * side > n
+        if g * side > min(h, w):
             raise ClipTooSmall(
                 f"grid {g}x{g} produces blocks smaller than {side} pixels "
                 f"for a {h}x{w} frame"

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +194,31 @@ class TestCli:
         assert len(records) == 4
         assert sum(r["best"] for r in records) == 1
 
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, run_cli, tmp_path,
+                                                             dataset_files):
+        # byte-identity holds for one BLAS thread count; on desk-scale data the
+        # outputs are also the same at 1 and 2 OpenBLAS threads
+        src, tgt = dataset_files
+        commands = {
+            "run": (["--lambda", "10", "--mu", "0.001"],
+                    ("report.jsonl", "report.txt", "model.npz")),
+            "grid": (["--lambda-grid", "1,10", "--mu-grid", "0.001,0.01"],
+                     ("grid.jsonl", "grid.txt")),
+        }
+        outputs = {}
+        for threads in ("1", "2"):
+            for command, (flags, names) in commands.items():
+                out = tmp_path / f"{command}-{threads}"
+                proc = run_cli([command, "--source", str(src), "--target", str(tgt),
+                                "--kernel", "linear", *flags, "--seed", "0",
+                                "--out-dir", str(out)], tmp_path,
+                               env={"OPENBLAS_NUM_THREADS": threads})
+                assert proc.returncode == 0, proc.stderr
+                for name in names:
+                    outputs.setdefault(name, []).append((out / name).read_bytes())
+        assert len(outputs) == 5
+        assert all(one == two for one, two in outputs.values())
+
     def test_synth_and_report_commands(self, run_cli, tmp_path):
         spec = {"classes": 3, "dim": 5, "n_source_per_class": 5,
                 "n_target_per_class": 5, "seed": 9}
@@ -210,6 +236,42 @@ class TestCli:
         proc = run_cli(["report", "--records", str(out / "report.jsonl")], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "WAR" in proc.stdout
+
+    @pytest.fixture
+    def clip_manifest(self, tmp_path):
+        from oracles import write_clip
+        clip = tmp_path / "clip.raw"
+        write_clip(clip, np.random.default_rng(0).integers(0, 256, size=(8, 16, 16)).astype(float))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"entries": [{"path": str(clip), "label": "a"}]}))
+        return manifest
+
+    def test_extract_writes_nothing_when_the_write_fails(self, monkeypatch, capsys, tmp_path,
+                                                         clip_manifest):
+        def partial(path, dataset):
+            Path(path).write_text("f0,f1,f2\n0.5,")
+            raise OSError("disk full")
+        monkeypatch.setattr(tsrg.cli, "write_dataset_csv", partial)
+        status = tsrg.cli.main(["extract", "--manifest", str(clip_manifest), "--grids", "1",
+                                "--out", str(tmp_path / "features.csv")])
+        assert status == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clip.raw", "manifest.json"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--points", "24"], "points must be at most 16"),
+        (["--points", "40"], "points must be at most 16"),
+        (["--radius", "0"], "radius and points must be positive"),
+        (["--grids", "1,100000000"], "grid 100000000x100000000 produces blocks smaller "
+                                     "than 7 pixels for a 16x16 frame"),
+    ], ids=["24-points", "40-points", "zero-radius", "huge-grid"])
+    def test_extract_rejects_lbp_settings_without_traceback(self, capsys, tmp_path,
+                                                            clip_manifest, flags, message):
+        status = tsrg.cli.main(["extract", "--manifest", str(clip_manifest), *flags,
+                                "--out", str(tmp_path / "f.csv")])
+        assert status == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "f.csv").exists()
 
     def test_extract_command(self, run_cli, tmp_path):
         from oracles import write_clip
@@ -393,8 +455,6 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["grid", "--lambda-grid", "abc", "--mu-grid", "0.001"],
          "could not convert string to float: 'abc'"),
-        (["run", "--rho", "1"], "rho must be > 1"),
-        (["run", "--epsilon", "nan"], "epsilon must be > 0"),
         (["run", "--lambda", "inf"], "lam must be finite"),
         (["run", "--kernel", "gaussian", "--bandwidth", "inf"],
          "gaussian bandwidth must be finite"),
@@ -404,9 +464,8 @@ class TestCli:
          "gaussian bandwidth must keep 2 * bandwidth**2 positive and finite"),
         (["grid", "--lambda-grid", ",", "--mu-grid", "0.001"],
          "lambda and mu grids must be non-empty"),
-    ], ids=["grid-bad-lambda-grid", "run-bad-rho", "run-nan-epsilon", "run-inf-lambda",
-            "run-inf-bandwidth", "run-huge-bandwidth", "run-tiny-bandwidth",
-            "grid-empty-lambda-grid"])
+    ], ids=["grid-bad-lambda-grid", "run-inf-lambda", "run-inf-bandwidth",
+            "run-huge-bandwidth", "run-tiny-bandwidth", "grid-empty-lambda-grid"])
     def test_bad_flag_value_exits_1_without_traceback(self, capsys, tmp_path,
                                                       dataset_files, argv, message):
         src, tgt = dataset_files
@@ -415,6 +474,25 @@ class TestCli:
         assert status == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, required", [
+        ("run", []),
+        ("grid", ["--lambda-grid", "1", "--mu-grid", "0.001"]),
+    ], ids=["run", "grid"])
+    @pytest.mark.parametrize("flag", ["--kappa0", "--rho", "--kappa-max", "--epsilon",
+                                      "--max-iters"])
+    def test_solver_schedule_flags_are_gone(self, capsys, command, required, flag):
+        # the IALM schedule is SolverConfig's default, not a command-line setting
+        parser = tsrg.cli.build_parser()
+        with pytest.raises(SystemExit) as help_exit:
+            parser.parse_args([command, "--help"])
+        assert help_exit.value.code == 0
+        assert flag not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args([command, "--source", "s.csv", "--target", "t.csv", *required,
+                               "--seed", "0", "--out-dir", "o", flag, "2"])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
     def test_synth_into_missing_directory_exits_1(self, capsys, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -163,6 +163,10 @@ class TestMmd:
         spec = KernelSpec("gaussian").resolved(x_s, x_t)
         assert spec.bandwidth is not None and spec.bandwidth > 0
 
+    def test_median_heuristic_falls_back_to_one_on_coincident_samples(self):
+        x = fm(np.full((3, 4), 2.5))
+        assert KernelSpec("gaussian").resolved(x, x) == KernelSpec("gaussian", 1.0)
+
 
 @pytest.mark.parametrize("bandwidth", [np.nan, 0.0, -1.0])
 def test_gaussian_bandwidth_must_be_positive(bandwidth):

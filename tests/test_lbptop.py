@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tsrg.lbptop
 from tsrg.errors import ClipTooSmall, DimensionError, NonFiniteError
 from tsrg.lbptop import (LbpTopParams, VideoClip, _block_bounds, _PLANES, _plane_codes,
                          circular_transitions, extract, uniform_lut)
@@ -149,6 +150,32 @@ class TestExtract:
     def test_rejects_small_blocks_naming_grid(self):
         with pytest.raises(ClipTooSmall, match="2x2"):
             extract(random_clip((8, 12, 12)), SMALL)
+
+    def test_rejects_a_grid_too_fine_for_the_frame_before_building_blocks(self, monkeypatch):
+        def no_bounds(n, g):
+            raise AssertionError(f"built the bounds of a {g}-block grid")
+        monkeypatch.setattr(tsrg.lbptop, "_block_bounds", no_bounds)
+        with pytest.raises(ClipTooSmall, match="grid 100000000x100000000"):
+            extract(random_clip((8, 20, 20)), LbpTopParams(grids=(1, 100_000_000)))
+
+    @pytest.mark.parametrize("side", [3, 5, 7])
+    def test_frame_check_agrees_with_the_block_bounds(self, side):
+        # extract's g * side > n test is the per-block width check it replaces
+        for n in range(1, 120):
+            for g in range(1, 40):
+                narrow = any(hi - lo < side for lo, hi in _block_bounds(n, g))
+                assert narrow == (g * side > n), (n, g)
+
+    @pytest.mark.parametrize("radius, points, message", [
+        (0, 8, "radius and points must be positive"),
+        (3, 0, "radius and points must be positive"),
+        (-1, 8, "radius and points must be positive"),
+        (3, 17, "points must be at most 16"),
+        (3, 40, "points must be at most 16"),
+    ])
+    def test_rejects_bad_radius_or_points(self, radius, points, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LbpTopParams(radius=radius, points=points)
 
     def test_rejects_non_finite_pixels(self):
         bad = np.zeros((8, 20, 20))

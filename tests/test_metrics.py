@@ -103,6 +103,18 @@ def test_render_text_shows_percentages():
     assert "WAR = 90.00%" in text
 
 
+def test_render_text_marks_absent_classes():
+    report = report_from_confusion(np.array([[3, 1, 0], [0, 0, 0], [0, 2, 2]]),
+                                   ("a", "bb", "c"))
+    assert render_text(report) == (
+        "                   a        bb         c\n"
+        "a              75.00     25.00      0.00\n"
+        "bb                --        --        --\n"
+        "c               0.00     50.00     50.00\n"
+        "WAR = 62.50%  UAR = 62.50%\n"
+        "(classes absent from ground truth, excluded from UAR: bb)\n")
+
+
 @st.composite
 def count_matrices(draw):
     """k x k counts, k in 2..5, some rows possibly all zero, not all zero."""

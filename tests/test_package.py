@@ -1,6 +1,7 @@
 """The package surface that outside code relies on: the top-level exports,
 README's library example and every function the benchmark tracer wraps,
 called as often as the tracer's layers assume."""
+import argparse
 import importlib
 import os
 import re
@@ -12,6 +13,7 @@ import numpy as np
 
 import tsrg
 import tsrg.classifier
+import tsrg.cli
 from tsrg.classifier import LabeledDataset
 from tsrg.kernels import FeatureMatrix
 
@@ -28,6 +30,18 @@ def test_readme_library_import():
     statement = re.search(r"^from tsrg import \([^)]*\)", readme, re.MULTILINE)
     assert statement is not None, "README has no `from tsrg import (...)` example"
     exec(statement.group(0), {})
+
+
+def test_readme_cli_flags_exist():
+    readme = (REPO / "README.md").read_text()
+    section = re.search(r"^## CLI\n(.*?)^## ", readme, re.MULTILINE | re.DOTALL)
+    assert section is not None, "README has no `## CLI` section"
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section.group(1)))
+    subcommands = next(action for action in tsrg.cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    known = {option for parser in subcommands.choices.values()
+             for action in parser._actions for option in action.option_strings}
+    assert named and sorted(named - known) == []
 
 
 def test_import_loads_neither_scipy_nor_pillow():
