@@ -170,18 +170,18 @@ def cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="tsrg",
+        prog="tsrg", allow_abbrev=False,
         description="Unsupervised domain adaptation by target sample re-generation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a shifted-Gaussian dataset pair")
+    p = sub.add_parser("synth", help="generate a shifted-Gaussian dataset pair", allow_abbrev=False)
     p.add_argument("--spec", required=True, help="JSON file with the synthesis spec")
     p.add_argument("--out-source", required=True)
     p.add_argument("--out-target", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("extract", help="extract LBP-TOP features from clips")
+    p = sub.add_parser("extract", help="extract LBP-TOP features from clips", allow_abbrev=False)
     p.add_argument("--manifest", required=True)
     p.add_argument("--radius", type=int, default=LbpTopParams.radius)
     p.add_argument("--points", type=int, default=LbpTopParams.points)
@@ -189,19 +189,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("run", help="run one adaptation experiment")
+    p = sub.add_parser("run", help="run one adaptation experiment", allow_abbrev=False)
     _add_experiment_args(p)
     p.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam)
     p.add_argument("--mu", type=float, default=SolverConfig.mu)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("grid", help="grid search over (lambda, mu)")
+    p = sub.add_parser("grid", help="grid search over (lambda, mu)", allow_abbrev=False)
     _add_experiment_args(p)
     p.add_argument("--lambda-grid", required=True, help="comma-separated values")
     p.add_argument("--mu-grid", required=True, help="comma-separated values")
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("report", help="render tables from a records file")
+    p = sub.add_parser("report", help="render tables from a records file", allow_abbrev=False)
     p.add_argument("--records", required=True)
     p.set_defaults(func=cmd_report)
     return parser

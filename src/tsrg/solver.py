@@ -27,9 +27,7 @@ full.  A block holds _BLOCK elements of each array, so the five arrays a block
 touches (2^15 float64 each, 1.25 MB in all) stay in a 2 MB per-core L2 cache.
 Every operation is elementwise, so the block size changes no value, and which
 buffer holds P changes none either.  P and the records equal, bit for bit, the
-step-by-step loop built from shrink, update_p and update_multiplier, except
-that where Q - T/kappa is -0.0, fit's copysign keeps the sign of the zero in P
-and shrink's sign() drops it.
+step-by-step loop built from shrink, update_p and update_multiplier.
 """
 from __future__ import annotations
 
@@ -49,6 +47,9 @@ _BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Penalties and IALM schedule.  At mu = 0, P = Q after the first Q-step, so fit
+    stops there, converged, at the kappa0/2-ridge solution, not the unpenalized minimizer."""
+
     lam: float = 1.0          # MMD trade-off
     mu: float = 1e-3          # L1 sparsity trade-off
     kappa0: float = 0.1       # initial penalty
@@ -147,20 +148,19 @@ def _solve_spd(eig, kappa: float, rhs: np.ndarray) -> np.ndarray:
     return v @ ((v.T @ rhs) / (w + kappa / 2.0)[:, None])
 
 
-def shrink(v: np.ndarray, tau: float) -> np.ndarray:
-    """Soft-threshold: sign(v) * max(|v| - tau, 0).
-
-    fit does not call this, update_p or update_multiplier: they are the
-    step-by-step form of its sweep, kept for tests/oracles.ialm_reference
-    and for the bench tracer's hooks.
-    """
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+def shrink(v: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Soft-threshold: max(|v| - tau, 0) with the sign of v, written into out
+    when given (out must not be v).  A -0.0 or a NaN keeps its sign bit."""
+    out = np.abs(v, out=out)
+    np.subtract(out, tau, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.copysign(out, v, out=out)
 
 
 def update_p(q: np.ndarray, t: np.ndarray, kappa: float, mu: float) -> np.ndarray:
     """Proximal L1 step: soft-threshold Q - T/kappa at level mu/kappa.
 
-    Step-by-step form of fit's sweep, which does not call it; see shrink.
+    Step-by-step form of fit's sweep, which does not call it.
     """
     if kappa <= 0:
         raise ValueError("kappa must be > 0")
@@ -175,7 +175,7 @@ def update_multiplier(p: np.ndarray, q: np.ndarray, t: np.ndarray, kappa: float,
                       rho: float, kappa_max: float) -> tuple[np.ndarray, float]:
     """Multiplier and penalty step: T += kappa (P - Q), kappa = min(rho kappa, kappa_max).
 
-    Step-by-step form of fit's sweep, which does not call it; see shrink.
+    Step-by-step form of fit's sweep, which does not call it.
     """
     if rho <= 1:
         raise ValueError("rho must be > 1")
@@ -194,10 +194,7 @@ def _sweep(q, r, t, base, v, kappa, kappa_next, tau, rows) -> float:
         vb = v[:len(qb)]
         np.divide(tb, kappa, out=vb)
         np.subtract(qb, vb, out=vb)
-        np.abs(vb, out=pb)
-        np.subtract(pb, tau, out=pb)
-        np.maximum(pb, 0.0, out=pb)
-        np.copysign(pb, vb, out=pb)
+        shrink(vb, tau, out=pb)
         np.subtract(pb, qb, out=vb)
         # np.maximum propagates a NaN from any block, whatever the order
         feas = np.maximum(feas, np.abs(vb, out=qb).max())
@@ -241,7 +238,7 @@ def _ialm(eig, base: np.ndarray, config: SolverConfig) -> tuple[np.ndarray, Solv
 
 def fit(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec,
         config: SolverConfig) -> tuple[TsrgModel, SolverTrace]:
-    """Learn the re-generator coefficients by the IALM loop from P=Q=T=0."""
+    """Learn P by the IALM loop from P=Q=T=0; at mu = 0, one kappa0/2-ridge solve."""
     spec = spec.resolved(x_s, x_t)
     ak = build_augmented(x_s, x_t, spec)
     # the system matrix has no kappa in it: one eigendecomposition per fit

@@ -494,6 +494,22 @@ class TestCli:
         assert exit_.value.code == 2
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--stand"], "unrecognized arguments: --stand"),
+        (["grid", "--lambda-grid", "1", "--mu-grid", "0.001", "--lambda", "5", "--mu", "0.1"],
+         "unrecognized arguments: --lambda 5 --mu 0.1"),
+        (["grid", "--lambda", "5", "--mu", "0.1"],
+         "the following arguments are required: --lambda-grid, --mu-grid"),
+    ], ids=["run-stand", "grid-lambda-mu", "grid-lambda-mu-alone"])
+    def test_abbreviated_flags_are_rejected(self, capsys, argv, message):
+        # a prefix of a longer flag is not that flag: grid's --lambda would set
+        # --lambda-grid, and run's --stand would set --standardize
+        with pytest.raises(SystemExit) as exit_:
+            tsrg.cli.build_parser().parse_args([*argv, "--source", "s.csv", "--target", "t.csv",
+                                                "--seed", "0", "--out-dir", "o"])
+        assert exit_.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_synth_into_missing_directory_exits_1(self, capsys, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"classes": 2, "dim": 3, "seed": 0}))

@@ -198,6 +198,21 @@ class TestUpdateP:
         else:
             assert v - p == pytest.approx(np.sign(p) * tau, abs=1e-10)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                                     -5e-324, 1e-310, -1e-310]) | st.floats(), min_size=1),
+           st.sampled_from([0.0, 5e-324, 1e-310]) | st.floats(0, 1e300))
+    def test_shrink_into_out_equals_the_allocating_form(self, values, tau):
+        v = np.array(values)
+        before = v.tobytes()
+        out = np.empty_like(v)
+        got = shrink(v, tau, out=out)
+        assert got is out
+        assert out.tobytes() == shrink(v, tau).tobytes()
+        assert v.tobytes() == before
+        # the result takes the sign bit of v, even on -0.0 and NaN
+        assert np.array_equal(np.signbit(out), np.signbit(v))
+
 
 class TestUpdateMultiplier:
     def test_unchanged_when_feasible(self):
@@ -244,6 +259,18 @@ class TestFit:
         model, _ = fit(x_s, x_t, LINEAR, SolverConfig(lam=1.0, mu=1e-3))
         regen = regenerate(model, x_t)
         assert mmd(x_s, regen, LINEAR) < mmd(x_s, x_t, LINEAR)
+
+    def test_mu_zero_stops_after_one_ridge_step(self):
+        # the P-step is the identity at mu = 0, so P = Q and T stays 0: fit stops
+        # converged after one Q-step, well before the default iteration cap
+        x_s, x_t = random_pair(18, d=40, n_s=30, n_t=30)
+        cfg = SolverConfig(lam=1.0, mu=0.0)
+        model, trace = fit(x_s, x_t, LINEAR, cfg)
+        assert trace.converged and trace.iters_run == 1 < cfg.max_iters
+        assert trace.records[0].feasibility == 0.0
+        zero = np.zeros(model.p.shape)
+        q = update_q(zero, zero, cfg.kappa0, x_s, build_augmented(x_s, x_t, LINEAR), cfg.lam)
+        assert np.array_equal(model.p, q)
 
     def test_trace_consistency(self):
         x_s, x_t = random_pair(11)

@@ -31,7 +31,8 @@ def test_fit_equals_reference_loop_bit_for_bit(kind, lam, mu, seed, d):
     config = SolverConfig(lam=lam, mu=mu)
     model, trace = fit(x_s, x_t, KernelSpec(kind), config)
     p, feasibility, kappa = ialm_reference(x_s, x_t, KernelSpec(kind), config)
-    assert np.array_equal(model.p, p)
+    # tobytes tells -0.0 from 0.0, which array_equal does not
+    assert model.p.tobytes() == p.tobytes()
     assert [r.feasibility for r in trace.records] == feasibility
     assert [r.kappa for r in trace.records] == kappa
     assert trace.iters_run == len(feasibility)
@@ -119,8 +120,27 @@ def test_fit_matches_reference_for_any_shape_and_block(n_s, n_t, d, kind, lam, m
     assert [r.feasibility for r in trace.records] == feasibility
 
 
+# over n=22 anchors: one block at d=5, 7x3+1 rows at d=40 with 130-element blocks
+@pytest.mark.parametrize("block, d, blocks", [(None, 5, 1), (130, 40, 8)], ids=["d<n", "d>n"])
+def test_fit_shrinks_once_per_row_block_per_iteration(monkeypatch, block, d, blocks):
+    if block is not None:
+        monkeypatch.setattr(tsrg.solver, "_BLOCK", block)
+    shrink = tsrg.solver.shrink
+    rows = []
+
+    def count(v, tau, out=None):
+        rows.append(len(v))
+        return shrink(v, tau, out=out)
+
+    monkeypatch.setattr(tsrg.solver, "shrink", count)
+    x_s, x_t = shifted_pair(3, d=d)
+    _, trace = fit(x_s, x_t, KernelSpec("linear"), SolverConfig(lam=1.0, mu=1e-3))
+    assert len(rows) == blocks * trace.iters_run
+    assert sum(rows) == 22 * trace.iters_run
+
+
 def test_fit_never_evaluates_the_objective(monkeypatch):
-    for name in ["objective_terms", "update_p", "shrink", "update_multiplier"]:
+    for name in ["objective_terms", "update_p", "update_multiplier"]:
         def fail(*args, name=name):
             raise AssertionError(f"{name} called")
         monkeypatch.setattr(tsrg.solver, name, fail)
