@@ -132,7 +132,7 @@ def cmd_run(args) -> int:
     source, target = _load_datasets(args)
     config = _experiment_config(args, lam=args.lam, mu=args.mu)
     result = run_experiment(source, target, config)
-    records = emit_records(result, args.source, args.target)
+    records = emit_records([result], args.source, args.target)
     text = render_result(result, args.source, args.target)
     _write_outputs(args.out_dir, {"report.jsonl": records, "report.txt": text}, result.model)
     print(text)

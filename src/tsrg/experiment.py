@@ -38,15 +38,14 @@ class ExperimentResult:
     trace: SolverTrace
     model: TsrgModel
 
-    def record(self, source: str = "", target: str = "",
-               lam: float | None = None, mu: float | None = None) -> dict:
-        """One structured line-record for the adapted run (plus baseline)."""
+    def record(self, source: str = "", target: str = "") -> dict:
+        """One line-record for the adapted run and its baseline; lambda and mu are null."""
         return {
             "source": source,
             "target": target,
             "method": "tsrg",
-            "lambda": lam,
-            "mu": mu,
+            "lambda": None,
+            "mu": None,
             "baseline": self.baseline.to_dict(),
             "tsrg": self.tsrg.to_dict(),
             "mmd_before": self.mmd_before,
@@ -112,16 +111,23 @@ def run_experiment(source: LabeledDataset, target: LabeledDataset,
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridRow:
     result: ExperimentResult         # its model's config holds the cell's lam and mu
-    best: bool = False
+    best: bool
+
+    def record(self, source: str = "", target: str = "") -> dict:
+        """The run's record with the cell's lambda and mu and the best flag."""
+        cell = self.result.model.config
+        return {**self.result.record(source, target),
+                "lambda": cell.lam, "mu": cell.mu, "best": self.best}
 
 
 def grid_search(source: LabeledDataset, target: LabeledDataset,
                 config: ExperimentConfig,
                 lambda_grid: list[float], mu_grid: list[float]) -> list[GridRow]:
-    """One run per (lambda, mu) pair in grid order, sharing one ``prepare_pair``.
+    """One run per (lambda, mu) pair in grid order, sharing one ``prepare_pair``;
+    every cell's config is built first, so a bad value fails before any fit.
 
     The best row (highest target UAR, then WAR, earliest on ties) is flagged.
     That uses the target labels: it is the paper's oracle selection protocol,
@@ -129,30 +135,18 @@ def grid_search(source: LabeledDataset, target: LabeledDataset,
     """
     if not lambda_grid or not mu_grid:
         raise ValueError("lambda and mu grids must be non-empty")
+    cells = [replace(config, solver=replace(config.solver, lam=lam, mu=mu))
+             for lam in lambda_grid for mu in mu_grid]
     pair = prepare_pair(source, target, config)
-    rows = []
-    for lam in lambda_grid:
-        for mu in mu_grid:
-            cell = replace(config, solver=replace(config.solver, lam=lam, mu=mu))
-            result = run_experiment(source, target, cell, pair)
-            rows.append(GridRow(result))
-    best = max(range(len(rows)), key=lambda i: (rows[i].result.tsrg.uar, rows[i].result.tsrg.war, -i))
-    rows[best].best = True
-    return rows
+    results = [run_experiment(source, target, cell, pair) for cell in cells]
+    best = max(range(len(results)), key=lambda i: (results[i].tsrg.uar, results[i].tsrg.war, -i))
+    return [GridRow(result, i == best) for i, result in enumerate(results)]
 
 
-def emit_records(rows_or_result, source_name: str = "", target_name: str = "") -> str:
-    """Line-delimited JSON records, deterministic key order."""
-    if isinstance(rows_or_result, ExperimentResult):
-        records = [rows_or_result.record(source_name, target_name)]
-    else:
-        records = []
-        for row in rows_or_result:
-            cell = row.result.model.config
-            rec = row.result.record(source_name, target_name, lam=cell.lam, mu=cell.mu)
-            rec["best"] = row.best
-            records.append(rec)
-    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+def emit_records(rows, source_name: str = "", target_name: str = "") -> str:
+    """Line-delimited JSON records of runs or grid rows, deterministic key order."""
+    return "".join(json.dumps(row.record(source_name, target_name), sort_keys=True) + "\n"
+                   for row in rows)
 
 
 def parse_records(text: str, name: str = "records") -> list[dict]:

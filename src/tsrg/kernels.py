@@ -41,7 +41,7 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel choice: 'linear' or 'gaussian' (bandwidth sigma > 0).
+    """Kernel choice: 'linear', or 'gaussian' with an optional bandwidth sigma > 0.
 
     A gaussian spec with bandwidth=None is resolved against data with the
     median heuristic before any Gram matrix is built.
@@ -53,7 +53,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "gaussian"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "gaussian" and self.bandwidth is not None:
+        if self.bandwidth is not None:
+            if self.kind != "gaussian":
+                raise ValueError("bandwidth applies to the gaussian kernel only")
             if not self.bandwidth > 0:  # NaN fails it too
                 raise ValueError("gaussian bandwidth must be > 0")
             if self.bandwidth == np.inf:  # a constant kernel

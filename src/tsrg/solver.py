@@ -262,7 +262,9 @@ MODEL_FORMAT_VERSION = 1
 
 
 def save_model(model: TsrgModel, path: str | Path) -> None:
-    """Serialize a model to an .npz archive; P round-trips bit-exactly."""
+    """Serialize a model to an .npz archive; P round-trips bit-exactly.  The anchors
+    are the data ``fit`` saw, standardized after a standardized run, and no mean or
+    std is saved: ``regenerate`` then needs inputs scaled the same way, not raw ones."""
     cfg = json.dumps(asdict(model.config), sort_keys=True)
     np.savez(
         path,

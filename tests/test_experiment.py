@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from tsrg.data import SynthSpec, synth_generate, write_dataset_csv
 from tsrg.experiment import (ExperimentConfig, emit_records, grid_search,
                              parse_records, render_result, run_experiment)
 from tsrg.kernels import KernelSpec
-from tsrg.solver import SolverConfig
+from tsrg.solver import SolverConfig, save_model
 
 BENCH_OFFSET = np.zeros(20)
 BENCH_OFFSET[0] = 3.0
@@ -64,6 +65,24 @@ def test_standardization_path():
     assert 0.0 <= result.tsrg.uar <= 1.0
 
 
+def test_standardized_run_saves_standardized_anchors(tmp_path):
+    # the anchors are the standardized data fit saw, and no mean or std is saved,
+    # so a loaded model is right only on inputs standardized the same way
+    source, target = synth_generate(bench_spec(1))
+    config = ExperimentConfig(standardize=True, solver=SolverConfig(lam=10.0, mu=1e-3))
+    model = run_experiment(source, target, config).model
+    x_s = source.features.data
+    mean, std = x_s.mean(axis=1, keepdims=True), x_s.std(axis=1, keepdims=True)
+    raw = np.concatenate([x_s, target.features.data], axis=1)
+    np.testing.assert_array_equal(model.anchors.data, (raw - mean) / std)
+    assert np.abs(model.anchors.data[:, :model.n_s].mean(axis=1)).max() < 1e-12
+    save_model(model, tmp_path / "m.npz")
+    with np.load(tmp_path / "m.npz") as z:
+        assert sorted(z.files) == ["anchors", "config_json", "kernel_bandwidth", "kernel_kind",
+                                   "n_s", "n_t", "p", "version"]
+        np.testing.assert_array_equal(z["anchors"], model.anchors.data)
+
+
 def test_train_on_regenerated_flag():
     source, target = synth_generate(bench_spec(2))
     config = ExperimentConfig(train_on_regenerated=True,
@@ -82,9 +101,58 @@ def test_grid_single_cell_equals_run():
     assert rows[0].result.baseline.to_dict() == direct.baseline.to_dict()
     # byte-identical records, once the run record's null lambda and mu and
     # its missing best flag are filled in
-    record = parse_records(emit_records(direct, "s", "t"))[0]
+    record = parse_records(emit_records([direct], "s", "t"))[0]
     record.update({"lambda": 5.0, "mu": 1e-2, "best": True})
     assert emit_records(rows, "s", "t") == json.dumps(record, sort_keys=True) + "\n"
+    # in a 2x2 grid too, each row's record is its cell's standalone run record
+    # with lambda, mu and best filled in
+    rows = grid_search(source, target, config, [1.0, 10.0], [1e-3, 1e-2])
+    assert sum(row.best for row in rows) == 1
+    for row in rows:
+        cell = row.result.model.config
+        direct = run_experiment(source, target,
+                                ExperimentConfig(solver=SolverConfig(lam=cell.lam, mu=cell.mu)))
+        record = direct.record("s", "t")
+        assert (record["lambda"], record["mu"]) == (None, None) and "best" not in record
+        record.update({"lambda": cell.lam, "mu": cell.mu, "best": row.best})
+        assert (json.dumps(row.record("s", "t"), sort_keys=True)
+                == json.dumps(record, sort_keys=True))
+    assert [(r.result.model.config.lam, r.result.model.config.mu) for r in rows] == [
+        (1.0, 1e-3), (1.0, 1e-2), (10.0, 1e-3), (10.0, 1e-2)]
+
+
+def test_grid_rows_are_frozen():
+    source, target = synth_generate(bench_spec(3))
+    row = grid_search(source, target, ExperimentConfig(), [5.0], [1e-2])[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.best = False
+    assert row.best
+
+
+def test_grid_checks_every_cell_before_the_first_fit(monkeypatch, tmp_path, dataset_files):
+    # a bad value late in the grid fails before the pair is prepared or a cell fitted
+    calls = []
+
+    def counting(name):
+        original = getattr(tsrg.experiment, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("fit", "prepare_pair"):
+        monkeypatch.setattr(tsrg.experiment, name, counting(name))
+    src, tgt = dataset_files
+    status = tsrg.cli.main(["grid", "--source", str(src), "--target", str(tgt),
+                            "--lambda-grid", "1,10", "--mu-grid", "0.001,-1",
+                            "--seed", "0", "--out-dir", str(tmp_path / "o")])
+    assert status == 1
+    assert calls == []
+    source, target = synth_generate(bench_spec(3))
+    with pytest.raises(ValueError, match="^lam and mu must be nonnegative$"):
+        grid_search(source, target, ExperimentConfig(), [1.0, np.nan], [1e-3])
+    assert calls == []
 
 
 @pytest.mark.parametrize("regenerated, trains", [(False, 1), (True, 1 + 4)])
@@ -464,8 +532,15 @@ class TestCli:
          "gaussian bandwidth must keep 2 * bandwidth**2 positive and finite"),
         (["grid", "--lambda-grid", ",", "--mu-grid", "0.001"],
          "lambda and mu grids must be non-empty"),
+        (["grid", "--lambda-grid", "1,10", "--mu-grid", "0.001,-1"],
+         "lam and mu must be nonnegative"),
+        (["run", "--kernel", "linear", "--bandwidth", "-3"],
+         "bandwidth applies to the gaussian kernel only"),
+        (["grid", "--lambda-grid", "1", "--mu-grid", "0.001", "--bandwidth", "2"],
+         "bandwidth applies to the gaussian kernel only"),
     ], ids=["grid-bad-lambda-grid", "run-inf-lambda", "run-inf-bandwidth",
-            "run-huge-bandwidth", "run-tiny-bandwidth", "grid-empty-lambda-grid"])
+            "run-huge-bandwidth", "run-tiny-bandwidth", "grid-empty-lambda-grid",
+            "grid-late-negative-mu", "run-linear-bandwidth", "grid-default-linear-bandwidth"])
     def test_bad_flag_value_exits_1_without_traceback(self, capsys, tmp_path,
                                                       dataset_files, argv, message):
         src, tgt = dataset_files

@@ -174,6 +174,13 @@ def test_gaussian_bandwidth_must_be_positive(bandwidth):
         KernelSpec("gaussian", bandwidth)
 
 
+@pytest.mark.parametrize("bandwidth", [-3.0, 1.0, np.nan])
+def test_linear_kernel_takes_no_bandwidth(bandwidth):
+    # the linear Gram matrix never reads a bandwidth, so one is a mistake
+    with pytest.raises(ValueError, match="^bandwidth applies to the gaussian kernel only$"):
+        KernelSpec("linear", bandwidth)
+
+
 def test_gaussian_bandwidth_must_be_finite():
     # an infinite bandwidth makes every kernel value 1
     with pytest.raises(ValueError, match="^gaussian bandwidth must be finite$"):
