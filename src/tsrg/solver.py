@@ -28,6 +28,8 @@ touches (2^15 float64 each, 1.25 MB in all) stay in a 2 MB per-core L2 cache.
 Every operation is elementwise, so the block size changes no value, and which
 buffer holds P changes none either.  P and the records equal, bit for bit, the
 step-by-step loop built from shrink, update_p and update_multiplier.
+The schedule is fixed, not configured.  At mu = 0 the objective is plain least
+squares, and fit returns its minimum-norm minimizer without the loop.
 """
 from __future__ import annotations
 
@@ -43,38 +45,25 @@ from .kernels import AugmentedKernels, FeatureMatrix, KernelSpec, build_augmente
 # elements of each n x d array per block of fit's sweep; a block touches
 # five arrays (Q, R, T, the kappa-free right-hand side, the scratch), 1.25 MB in L2
 _BLOCK = 1 << 15
+# the IALM schedule, read when _ialm is called: kappa = min(kappa0 rho^k, kappa_max),
+# stop once max|P - Q| < epsilon or after max_iters iterations
+_KAPPA0, _RHO, _KAPPA_MAX, _EPSILON, _MAX_ITERS = 0.1, 1.1, 1e7, 1e-7, 500
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Penalties and IALM schedule.  At mu = 0, P = Q after the first Q-step, so fit
-    stops there, converged, at the kappa0/2-ridge solution, not the unpenalized minimizer."""
+    """The penalties of |X_s - P^T K_s|^2 + lam |P^T dk|^2 + mu |P|_1."""
 
     lam: float = 1.0          # MMD trade-off
     mu: float = 1e-3          # L1 sparsity trade-off
-    kappa0: float = 0.1       # initial penalty
-    rho: float = 1.1          # penalty growth factor
-    kappa_max: float = 1e7
-    epsilon: float = 1e-7     # stop when max|P - Q| drops below this
-    max_iters: int = 500
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
+        # written so that NaN fails; an infinite penalty makes the first iterate NaN
         if not (self.lam >= 0 and self.mu >= 0):
             raise ValueError("lam and mu must be nonnegative")
-        if not 0 < self.kappa0 <= self.kappa_max:
-            raise ValueError("need 0 < kappa0 <= kappa_max")
-        if not self.rho > 1:
-            raise ValueError("rho must be > 1")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
-        # an infinite penalty makes the first iterate NaN, an infinite epsilon
-        # stops after one iteration
-        for name in ("lam", "mu", "kappa0", "kappa_max", "epsilon"):
+        for name in ("lam", "mu"):
             if getattr(self, name) == np.inf:
                 raise ValueError(f"{name} must be finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
@@ -127,7 +116,10 @@ def objective_terms(p: np.ndarray, x_s: FeatureMatrix,
 def _q_system(x_s: FeatureMatrix, ak: AugmentedKernels, lam: float):
     """Eigendecomposition (w, V) of M = K_s K_s^T + lam dk dk^T, w clipped at 0,
     and K_s X_s^T, the kappa-free part of the Q-step right-hand side."""
-    m = ak.k_s @ ak.k_s.T + lam * np.outer(ak.delta_k, ak.delta_k)
+    with np.errstate(over="ignore"):
+        m = ak.k_s @ ak.k_s.T + lam * np.outer(ak.delta_k, ak.delta_k)
+    if not np.isfinite(m).all():
+        raise NonFiniteError(f"Q-step system K_s K_s^T + lam dk dk^T overflows at lam = {lam:g}")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as err:
@@ -207,22 +199,22 @@ def _sweep(q, r, t, base, v, kappa, kappa_next, tau, rows) -> float:
     return float(feas)
 
 
-def _ialm(eig, base: np.ndarray, config: SolverConfig) -> tuple[np.ndarray, SolverTrace]:
+def _ialm(eig, base: np.ndarray, mu: float) -> tuple[np.ndarray, SolverTrace]:
     """The IALM loop from P = Q = T = 0 over four n x d arrays: base, T, the
     right-hand side R and the new Q.  Returns P and the trace."""
     n, d = base.shape
     rows = max(1, _BLOCK // d)
     t, v = np.zeros((n, d)), np.empty((min(rows, n), d))
-    kappa = config.kappa0
+    kappa = _KAPPA0
     r = base + 0.0  # (kappa P + T)/2 is +0.0 at P = T = 0
     trace = SolverTrace()
-    for it in range(config.max_iters):
+    for it in range(_MAX_ITERS):
         p = None  # the previous P is dead: let the Q-step reuse its memory
         # Q = (M + kappa/2 I)^-1 (K_s X_s^T + (kappa P + T)/2), the minimizer of
         # |X_s - Q^T K_s|^2 + lam |Q^T dk|^2 + tr[T^T(P-Q)] + kappa/2 |P-Q|^2
         q = _solve_spd(eig, kappa, r)
-        kappa_next = min(config.rho * kappa, config.kappa_max)
-        feas = _sweep(q, r, t, base, v, kappa, kappa_next, config.mu / kappa, rows)
+        kappa_next = min(_RHO * kappa, _KAPPA_MAX)
+        feas = _sweep(q, r, t, base, v, kappa, kappa_next, mu / kappa, rows)
         p, r = r, q
         # a NaN or Inf anywhere in P or Q makes this maximum NaN or Inf
         if not np.isfinite(feas):
@@ -230,7 +222,7 @@ def _ialm(eig, base: np.ndarray, config: SolverConfig) -> tuple[np.ndarray, Solv
         kappa = kappa_next
         trace.records.append(IterationRecord(feasibility=feas, kappa=kappa))
         trace.iters_run = it + 1
-        if feas < config.epsilon:
+        if feas < _EPSILON:
             trace.converged = True
             break
     return p, trace
@@ -238,11 +230,18 @@ def _ialm(eig, base: np.ndarray, config: SolverConfig) -> tuple[np.ndarray, Solv
 
 def fit(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec,
         config: SolverConfig) -> tuple[TsrgModel, SolverTrace]:
-    """Learn P by the IALM loop from P=Q=T=0; at mu = 0, one kappa0/2-ridge solve."""
+    """Learn P by the IALM loop from P=Q=T=0.  At mu = 0, P = V_r diag(1/w_r) V_r^T K_s X_s^T
+    over the w above pinv's cutoff len(w) eps max(w), converged after 0 iterations."""
     spec = spec.resolved(x_s, x_t)
     ak = build_augmented(x_s, x_t, spec)
     # the system matrix has no kappa in it: one eigendecomposition per fit
-    p, trace = _ialm(*_q_system(x_s, ak, config.lam), config)
+    (w, v), base = _q_system(x_s, ak, config.lam)
+    if config.mu > 0:
+        p, trace = _ialm((w, v), base, config.mu)
+    else:
+        keep = w > len(w) * np.finfo(float).eps * w.max()
+        w, v = w[keep], v[:, keep]
+        p, trace = v @ ((v.T @ base) / w[:, None]), SolverTrace(converged=True)
     # stacked only once the loop's buffers are freed
     anchors = FeatureMatrix(np.concatenate([x_s.data, x_t.data], axis=1))
     model = TsrgModel(p=p, anchors=anchors, kernel=spec,
@@ -286,8 +285,12 @@ def load_model(path: str | Path) -> TsrgModel:
             raise ValueError(f"unsupported model format version {version}")
         bw = float(z["kernel_bandwidth"])
         spec = KernelSpec(str(z["kernel_kind"]), None if np.isnan(bw) else bw)
-        cfg = SolverConfig(**json.loads(str(z["config_json"])))
+        cfg = json.loads(str(z["config_json"]))
+        if not (isinstance(cfg, dict)
+                and all(type(cfg.get(k)) in (int, float) for k in ("lam", "mu"))):
+            raise ValueError("model config_json must be an object with numeric lam and mu")
         return TsrgModel(
             p=z["p"], anchors=FeatureMatrix(z["anchors"]), kernel=spec,
-            n_s=int(z["n_s"]), n_t=int(z["n_t"]), config=cfg,
+            n_s=int(z["n_s"]), n_t=int(z["n_t"]),
+            config=SolverConfig(lam=cfg["lam"], mu=cfg["mu"]),
         )

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from tsrg.errors import DimensionError, NonFiniteError
+from tsrg import solver
 from tsrg.kernels import AugmentedKernels, FeatureMatrix, KernelSpec, build_augmented
 from tsrg.lbptop import (_PLANES, LbpTopParams, VideoClip, _bilinear_terms, _block_bounds,
                          _neighbor_offsets, uniform_lut)
@@ -69,21 +70,21 @@ def update_q(p: np.ndarray, t: np.ndarray, kappa: float, x_s: FeatureMatrix,
 def ialm_reference(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec,
                    config: SolverConfig) -> tuple[np.ndarray, list[float], list[float]]:
     """The IALM loop spelled out from update_q, update_p and update_multiplier,
-    from P = Q = T = 0; returns the final P and, per iteration, max|P - Q| and
-    the updated kappa."""
+    from P = Q = T = 0 on the solver's schedule as it stands when called; returns
+    the final P and, per iteration, max|P - Q| and the updated kappa."""
     spec = spec.resolved(x_s, x_t)
     ak = build_augmented(x_s, x_t, spec)
     shape = (ak.n_s + ak.n_t, x_s.d)
     p, t = np.zeros(shape), np.zeros(shape)
-    kappa = config.kappa0
+    kappa = solver._KAPPA0
     feasibility, kappas = [], []
-    for _ in range(config.max_iters):
+    for _ in range(solver._MAX_ITERS):
         q = update_q(p, t, kappa, x_s, ak, config.lam)
         p = update_p(q, t, kappa, config.mu)
         feasibility.append(float(np.max(np.abs(p - q))))
-        t, kappa = update_multiplier(p, q, t, kappa, config.rho, config.kappa_max)
+        t, kappa = update_multiplier(p, q, t, kappa, solver._RHO, solver._KAPPA_MAX)
         kappas.append(kappa)
-        if feasibility[-1] < config.epsilon:
+        if feasibility[-1] < solver._EPSILON:
             break
     return p, feasibility, kappas
 

@@ -20,9 +20,8 @@ from oracles import fg_residual, kernel_eval, objective, update_q
 LINEAR = KernelSpec("linear")
 GAUSS = KernelSpec("gaussian", 1.0)
 
-# kappa0 kept tiny in the exact-reconstruction configs so the first ridge
-# solve already sits at the least-squares solution
-EXACT_CFG = SolverConfig(lam=0.0, mu=0.0, kappa0=1e-6)
+# mu = 0 is plain least squares, which fit solves exactly
+EXACT_CFG = SolverConfig(lam=0.0, mu=0.0)
 
 
 def ok(n, text):

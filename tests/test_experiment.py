@@ -524,6 +524,8 @@ class TestCli:
         (["grid", "--lambda-grid", "abc", "--mu-grid", "0.001"],
          "could not convert string to float: 'abc'"),
         (["run", "--lambda", "inf"], "lam must be finite"),
+        (["run", "--lambda", "1e308"],
+         "Q-step system K_s K_s^T + lam dk dk^T overflows at lam = 1e+308"),
         (["run", "--kernel", "gaussian", "--bandwidth", "inf"],
          "gaussian bandwidth must be finite"),
         (["run", "--kernel", "gaussian", "--bandwidth", "1e200"],
@@ -538,7 +540,7 @@ class TestCli:
          "bandwidth applies to the gaussian kernel only"),
         (["grid", "--lambda-grid", "1", "--mu-grid", "0.001", "--bandwidth", "2"],
          "bandwidth applies to the gaussian kernel only"),
-    ], ids=["grid-bad-lambda-grid", "run-inf-lambda", "run-inf-bandwidth",
+    ], ids=["grid-bad-lambda-grid", "run-inf-lambda", "run-huge-lambda", "run-inf-bandwidth",
             "run-huge-bandwidth", "run-tiny-bandwidth", "grid-empty-lambda-grid",
             "grid-late-negative-mu", "run-linear-bandwidth", "grid-default-linear-bandwidth"])
     def test_bad_flag_value_exits_1_without_traceback(self, capsys, tmp_path,
@@ -557,7 +559,7 @@ class TestCli:
     @pytest.mark.parametrize("flag", ["--kappa0", "--rho", "--kappa-max", "--epsilon",
                                       "--max-iters"])
     def test_solver_schedule_flags_are_gone(self, capsys, command, required, flag):
-        # the IALM schedule is SolverConfig's default, not a command-line setting
+        # the IALM schedule is fixed in the solver, not a command-line setting
         parser = tsrg.cli.build_parser()
         with pytest.raises(SystemExit) as help_exit:
             parser.parse_args([command, "--help"])

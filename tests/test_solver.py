@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import re
 
 import numpy as np
@@ -5,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsrg.errors import DimensionError, NumericalError
+import tsrg.solver
+from tsrg.errors import DimensionError, NonFiniteError, NumericalError
 from tsrg.kernels import FeatureMatrix, KernelSpec, build_augmented, mmd
 from tsrg.solver import (SolverConfig, _q_system, _solve_spd, fit,
                          load_model, objective_terms, regenerate, save_model,
@@ -122,15 +125,17 @@ class TestUpdateQ:
 
 class TestSingleSolvePath:
     @pytest.mark.parametrize("spec", [LINEAR, KernelSpec("gaussian", 1.5)])
-    def test_one_iteration_fit_equals_update_q(self, spec):
-        # with mu=0 the shrink is the identity, so one IALM iteration from the
-        # zero state is exactly one Q-step at kappa0
+    def test_one_iteration_fit_equals_update_q(self, monkeypatch, spec):
+        # one IALM iteration from the zero state is one Q-step at kappa0, then
+        # the soft-threshold at mu/kappa0
+        monkeypatch.setattr(tsrg.solver, "_MAX_ITERS", 1)
         x_s, x_t = random_pair(30, d=4, n_s=7, n_t=5)
-        cfg = SolverConfig(lam=3.0, mu=0.0, max_iters=1)
+        cfg = SolverConfig(lam=3.0, mu=1e-3)
         model, _ = fit(x_s, x_t, spec, cfg)
         zero = np.zeros((12, 4))
-        q = update_q(zero, zero, cfg.kappa0, x_s, build_augmented(x_s, x_t, spec), cfg.lam)
-        assert np.array_equal(model.p, q)
+        kappa0 = tsrg.solver._KAPPA0
+        q = update_q(zero, zero, kappa0, x_s, build_augmented(x_s, x_t, spec), cfg.lam)
+        assert np.array_equal(model.p, update_p(q, zero, kappa0, cfg.mu))
 
 
 class TestSolveSpd:
@@ -231,14 +236,13 @@ class TestUpdateMultiplier:
         assert kappa == 1.5
 
 
-EXACT_CFG = SolverConfig(lam=0.0, mu=0.0, kappa0=1e-6)
+EXACT_CFG = SolverConfig(lam=0.0, mu=0.0)
 
 
 class TestFit:
     def test_copy_target_reproduces_itself(self):
         x_s, _ = random_pair(9, d=4, n_s=8)
-        cfg = SolverConfig(lam=1.0, mu=0.0, kappa0=1e-6)
-        model, trace = fit(x_s, x_s, LINEAR, cfg)
+        model, trace = fit(x_s, x_s, LINEAR, SolverConfig(lam=1.0, mu=0.0))
         regen = regenerate(model, x_s)
         rel = np.linalg.norm(x_s.data - regen.data) / np.linalg.norm(x_s.data)
         assert rel < 1e-6
@@ -260,24 +264,27 @@ class TestFit:
         regen = regenerate(model, x_t)
         assert mmd(x_s, regen, LINEAR) < mmd(x_s, x_t, LINEAR)
 
-    def test_mu_zero_stops_after_one_ridge_step(self):
-        # the P-step is the identity at mu = 0, so P = Q and T stays 0: fit stops
-        # converged after one Q-step, well before the default iteration cap
-        x_s, x_t = random_pair(18, d=40, n_s=30, n_t=30)
-        cfg = SolverConfig(lam=1.0, mu=0.0)
-        model, trace = fit(x_s, x_t, LINEAR, cfg)
-        assert trace.converged and trace.iters_run == 1 < cfg.max_iters
-        assert trace.records[0].feasibility == 0.0
-        zero = np.zeros(model.p.shape)
-        q = update_q(zero, zero, cfg.kappa0, x_s, build_augmented(x_s, x_t, LINEAR), cfg.lam)
-        assert np.array_equal(model.p, q)
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 10.0])
+    @pytest.mark.parametrize("kind", ["linear", "gaussian"])
+    # d=40 > n=22 anchors, and d=5 < n, where the linear M is rank-deficient
+    @pytest.mark.parametrize("d", [5, 40], ids=["d<n", "d>n"])
+    def test_mu_zero_is_minimum_norm_least_squares(self, monkeypatch, lam, kind, d):
+        # at mu = 0 fit runs no IALM iteration at all
+        monkeypatch.setattr(tsrg.solver, "_ialm", None)
+        x_s, x_t = random_pair(18, d=d, n_s=12, n_t=10)
+        model, trace = fit(x_s, x_t, KernelSpec(kind), SolverConfig(lam=lam, mu=0.0))
+        assert trace.converged and trace.iters_run == 0 and trace.records == []
+        ak = build_augmented(x_s, x_t, model.kernel)
+        m = ak.k_s @ ak.k_s.T + lam * np.outer(ak.delta_k, ak.delta_k)
+        expected = np.linalg.pinv(m, hermitian=True) @ (ak.k_s @ x_s.data.T)
+        assert np.linalg.norm(model.p - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_trace_consistency(self):
         x_s, x_t = random_pair(11)
         _, trace = fit(x_s, x_t, LINEAR, SolverConfig(lam=1.0, mu=0.01))
         assert trace.iters_run == len(trace.records)
         final = trace.records[-1]
-        assert trace.converged == (final.feasibility < SolverConfig().epsilon)
+        assert trace.converged == (final.feasibility < tsrg.solver._EPSILON)
 
     def test_feasibility_eventually_monotone(self):
         # Raw per-iteration feasibility oscillates by small factors on these
@@ -388,21 +395,44 @@ class TestSerialization:
         np.testing.assert_array_equal(regenerate(loaded, x_t).data,
                                       regenerate(model, x_t).data)
 
+    @staticmethod
+    def write(path, model, config_json):
+        """An .npz in the version-1 layout with the given config_json."""
+        np.savez(path, version=np.int64(1), p=model.p, anchors=model.anchors.data,
+                 kernel_kind=np.str_(model.kernel.kind), kernel_bandwidth=np.float64(np.nan),
+                 n_s=np.int64(model.n_s), n_t=np.int64(model.n_t),
+                 config_json=np.str_(config_json))
+
+    def test_loads_a_config_that_also_holds_the_schedule(self, tmp_path):
+        # files written while SolverConfig held the IALM schedule carry seven keys
+        x_s, x_t = random_pair(27)
+        model, _ = fit(x_s, x_t, LINEAR, SolverConfig(lam=10.0, mu=1e-3))
+        self.write(tmp_path / "m.npz", model, json.dumps(
+            {"epsilon": 1e-7, "kappa0": 0.1, "kappa_max": 1e7, "lam": 10.0, "max_iters": 500,
+             "mu": 0.001, "rho": 1.1}, sort_keys=True))
+        loaded = load_model(tmp_path / "m.npz")
+        assert loaded.p.tobytes() == model.p.tobytes()
+        assert loaded.anchors.data.tobytes() == model.anchors.data.tobytes()
+        assert (loaded.config.lam, loaded.config.mu) == (10.0, 1e-3)
+
+    @pytest.mark.parametrize("config_json", [
+        "[10.0, 0.001]", '{"lam": 10.0}', '{"lam": "10", "mu": 0.001}',
+        '{"lam": 10.0, "mu": null}', '{"lam": true, "mu": 0.001}',
+    ], ids=["list", "no-mu", "string-lam", "null-mu", "bool-lam"])
+    def test_rejects_a_config_without_numeric_penalties(self, tmp_path, config_json):
+        x_s, x_t = random_pair(28)
+        model, _ = fit(x_s, x_t, LINEAR, SolverConfig(lam=10.0, mu=1e-3))
+        self.write(tmp_path / "m.npz", model, config_json)
+        with pytest.raises(ValueError, match="^model config_json must be an object with numeric"):
+            load_model(tmp_path / "m.npz")
+
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"lam": np.nan}, "lam and mu must be nonnegative"),
     ({"mu": np.nan}, "lam and mu must be nonnegative"),
-    ({"kappa0": np.nan}, "need 0 < kappa0 <= kappa_max"),
-    ({"kappa_max": np.nan}, "need 0 < kappa0 <= kappa_max"),
-    ({"rho": np.nan}, "rho must be > 1"),
-    ({"epsilon": np.nan}, "epsilon must be > 0"),
-    ({"epsilon": np.inf}, "epsilon must be finite"),
     ({"lam": np.inf}, "lam must be finite"),
     ({"mu": np.inf}, "mu must be finite"),
-    ({"kappa0": np.inf, "kappa_max": np.inf}, "kappa0 must be finite"),
-    ({"kappa_max": np.inf}, "kappa_max must be finite"),
-], ids=["nan-lam", "nan-mu", "nan-kappa0", "nan-kappa-max", "nan-rho", "nan-epsilon",
-        "inf-epsilon", "inf-lam", "inf-mu", "inf-kappa0", "inf-kappa-max"])
+], ids=["nan-lam", "nan-mu", "inf-lam", "inf-mu"])
 def test_config_rejects_nan_and_infinite_epsilon(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SolverConfig(**kwargs)
@@ -410,10 +440,19 @@ def test_config_rejects_nan_and_infinite_epsilon(kwargs, message):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(rho=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(kappa0=2.0, kappa_max=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
         SolverConfig(lam=-1.0)
+
+
+@pytest.mark.parametrize("name", ["kappa0", "rho", "kappa_max", "epsilon", "max_iters"])
+def test_config_holds_the_penalties_not_the_schedule(name):
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["lam", "mu"]
+    with pytest.raises(TypeError):
+        SolverConfig(**{name: 0.1})
+
+
+def test_huge_lambda_names_lambda_before_the_loop():
+    # lam dk dk^T overflows to inf: the error names lam, and the overflow warning,
+    # which the suite turns into an error, is not raised
+    x_s, x_t = random_pair(26)
+    with pytest.raises(NonFiniteError, match=r"overflows at lam = 1e\+308$"):
+        fit(x_s, x_t, LINEAR, SolverConfig(lam=1e308, mu=1e-3))

@@ -77,8 +77,9 @@ def test_p_is_bit_identical_whichever_buffer_holds_it(monkeypatch, max_iters, d,
     # stopping after an odd or an even count returns P from either one
     if block is not None:
         monkeypatch.setattr(tsrg.solver, "_BLOCK", block)
+    monkeypatch.setattr(tsrg.solver, "_MAX_ITERS", max_iters)
     x_s, x_t = shifted_pair(8, d=d)
-    config = SolverConfig(lam=10.0, mu=0.05, max_iters=max_iters)
+    config = SolverConfig(lam=10.0, mu=0.05)
     model, trace = fit(x_s, x_t, KernelSpec("linear"), config)
     p, feasibility, kappa = ialm_reference(x_s, x_t, KernelSpec("linear"), config)
     assert not trace.converged and trace.iters_run == max_iters
@@ -87,11 +88,12 @@ def test_p_is_bit_identical_whichever_buffer_holds_it(monkeypatch, max_iters, d,
     assert [r.kappa for r in trace.records] == kappa
 
 
-def test_fit_holds_four_n_by_d_arrays_when_d_exceeds_n():
+def test_fit_holds_four_n_by_d_arrays_when_d_exceeds_n(monkeypatch):
     # the kappa-free right-hand side, T, R and the new Q during a Q-step, plus
     # one block of scratch and the n x n operator; the previous P is freed
+    monkeypatch.setattr(tsrg.solver, "_MAX_ITERS", 4)
     x_s, x_t = shifted_pair(7, d=4000)
-    config = SolverConfig(lam=1.0, mu=1e-3, max_iters=4)
+    config = SolverConfig(lam=1.0, mu=1e-3)
     fit(x_s, x_t, KernelSpec("linear"), config)  # numpy's lazy imports, untraced
     tracemalloc.start()
     try:
@@ -105,10 +107,12 @@ def test_fit_holds_four_n_by_d_arrays_when_d_exceeds_n():
     assert peak <= 4.5 * (12 + 10) * 4000 * 8
 
 
+# mu = 0 runs no loop: test_mu_zero_is_minimum_norm_least_squares covers it
 @settings(max_examples=40, deadline=None)
 @given(n_s=st.integers(2, 12), n_t=st.integers(2, 12), d=st.integers(1, 60),
        kind=st.sampled_from(["linear", "gaussian"]), lam=st.floats(0.0, 100.0),
-       mu=st.floats(0.0, 0.1), block=st.integers(1, 4096), seed=st.integers(0, 2**32 - 1))
+       mu=st.floats(0.0, 0.1, exclude_min=True), block=st.integers(1, 4096),
+       seed=st.integers(0, 2**32 - 1))
 def test_fit_matches_reference_for_any_shape_and_block(n_s, n_t, d, kind, lam, mu, block, seed):
     x_s, x_t = shifted_pair(seed, d=d, n_s=n_s, n_t=n_t)
     config = SolverConfig(lam=lam, mu=mu)
