@@ -48,12 +48,13 @@ class LinearClassifier:
     biases: np.ndarray              # k
     class_names: tuple[str, ...]
     epochs: tuple[int, ...] = ()       # dual CD epochs per class
-    converged: tuple[bool, ...] = ()   # per class: tol met before max_epochs
+    converged: tuple[bool, ...] = ()   # per class: _TOL met before _MAX_EPOCHS
 
 
-def _dual_cd_hinge(gram: np.ndarray, y: np.ndarray, c: float,
-                   tol: float = 1e-4, max_epochs: int = 1000
-                   ) -> tuple[np.ndarray, int, bool]:
+_TOL, _MAX_EPOCHS = 1e-4, 1000  # the stopping rule, read when _dual_cd_hinge is called
+
+
+def _dual_cd_hinge(gram: np.ndarray, y: np.ndarray, c: float) -> tuple[np.ndarray, int, bool]:
     """L1-loss SVM dual coordinate descent in Gram space, with shrinking.
 
     gram: n x n Gram matrix of the augmented samples; y in {-1, +1}.
@@ -63,7 +64,7 @@ def _dual_cd_hinge(gram: np.ndarray, y: np.ndarray, c: float,
     whose gradient points outside the previous epoch's projected-gradient
     range leaves the active set (Fan et al., LIBLINEAR, JMLR 2008, sec. 3).
     Convergence needs an epoch that starts from the full set with
-    max |projected gradient| < tol; an epoch that meets tol on a shrunk
+    max |projected gradient| < _TOL; an epoch that meets it on a shrunk
     set restores the full set instead.
     Returns (alpha, epochs run, converged).
     """
@@ -76,7 +77,7 @@ def _dual_cd_hinge(gram: np.ndarray, y: np.ndarray, c: float,
     u = np.zeros(n)
     active = np.arange(n)
     pg_max_old, pg_min_old = np.inf, -np.inf
-    for epoch in range(1, max_epochs + 1):
+    for epoch in range(1, _MAX_EPOCHS + 1):
         full = active.size == n
         pg_max, pg_min = -np.inf, np.inf
         kept = []
@@ -102,7 +103,7 @@ def _dual_cd_hinge(gram: np.ndarray, y: np.ndarray, c: float,
                 if a_new != a:
                     u += ((a_new - a) * yi) * rows[i]
                     alpha[i] = a_new
-        if max(pg_max, -pg_min) < tol:
+        if max(pg_max, -pg_min) < _TOL:
             if full:
                 return np.array(alpha), epoch, True
             active = np.arange(n)
@@ -111,7 +112,7 @@ def _dual_cd_hinge(gram: np.ndarray, y: np.ndarray, c: float,
         active = np.array(kept, dtype=np.intp)
         pg_max_old = pg_max if pg_max > 0.0 else np.inf
         pg_min_old = pg_min if pg_min < 0.0 else -np.inf
-    return np.array(alpha), max_epochs, False
+    return np.array(alpha), _MAX_EPOCHS, False
 
 
 def train(data: LabeledDataset, penalty_c: float = 1.0) -> LinearClassifier:

@@ -12,6 +12,7 @@ import numbers
 import os
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,10 +40,7 @@ class DatasetManifest:
         labels = [e.label for e in self.entries]
         if label_map is not None:
             labels, _ = apply_label_map(labels, label_map)
-        counts: dict[str, int] = {}
-        for lab in labels:
-            counts[lab] = counts.get(lab, 0) + 1
-        return counts
+        return Counter(labels)
 
     def validate_counts(self, label_map: dict[str, str | None] | None = None) -> None:
         if self.expected_counts is None:
@@ -111,25 +109,6 @@ def apply_label_map(labels: list[str],
     return out, kept
 
 
-def _read_feature_csv(path: Path) -> tuple[np.ndarray, list[str]]:
-    """CSV with header, one sample per row, label in the last column."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise EmptyDatasetError(f"{path}: no data rows")
-    features, labels = [], []
-    width = len(rows[0])
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise IngestionError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
-        try:
-            features.append([float(v) for v in row[:-1]])
-        except ValueError as err:
-            raise IngestionError(f"{path}:{lineno}: {err}") from err
-        labels.append(row[-1])
-    return np.asarray(features, dtype=np.float64).T, labels
-
-
 def _read_clip(path: Path) -> VideoClip:
     """Clip directory of numbered images, read in numeric frame order (img2
     before img10), or a packed raw volume with header."""
@@ -181,8 +160,28 @@ def dataset_from_arrays(features: np.ndarray, labels: list[str],
 
 def ingest_csv(path: str | Path, label_map: dict[str, str | None] | None = None,
                class_names: tuple[str, ...] | None = None) -> LabeledDataset:
-    """Load a whole dataset from one feature CSV."""
-    features, labels = _read_feature_csv(Path(path))
+    """Load a whole dataset from one feature CSV, parsing each row as it is read."""
+    rows, labels = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            width = len(next(reader, ()))
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != width:
+                    raise IngestionError(f"{path}:{lineno}: expected {width} columns, "
+                                         f"got {len(row)}")
+                try:
+                    rows.append(np.fromiter(map(float, row[:-1]), np.float64, width - 1))
+                except ValueError as err:
+                    raise IngestionError(f"{path}:{lineno}: {err}") from err
+                labels.append(row[-1])
+        except csv.Error as err:
+            raise IngestionError(f"{path}:{reader.line_num}: {err}") from err
+        except UnicodeDecodeError as err:  # decoding is per buffered chunk, not per line
+            raise IngestionError(f"{path}: {err}") from err
+    if not rows:
+        raise EmptyDatasetError(f"{path}: no data rows")
+    features = np.array(rows).T  # an F-ordered d x n view; the peak is about 2x the matrix
     if label_map is not None:
         labels, kept = apply_label_map(labels, label_map)
         features = features[:, kept]

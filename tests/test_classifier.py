@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 
@@ -169,10 +167,10 @@ def test_returned_alpha_meets_kkt_within_tol():
     data = correlated()
     x_aug = augmented(data)
     gram = x_aug.T @ x_aug
-    c, tol = 1.0, 1e-4
+    c, tol = 1.0, tsrg.classifier._TOL
     for cls in range(data.num_classes):
         y = np.where(data.labels == cls, 1.0, -1.0)
-        alpha, _, converged = tsrg.classifier._dual_cd_hinge(gram, y, c, tol=tol)
+        alpha, _, converged = tsrg.classifier._dual_cd_hinge(gram, y, c)
         assert converged
         assert np.all((alpha >= 0.0) & (alpha <= c))
         grad = y * (gram @ (y * alpha)) - 1.0
@@ -202,8 +200,7 @@ def test_training_on_correlated_features_is_bit_identical():
 
 
 def test_non_convergence_is_reported_not_raised(monkeypatch):
-    capped = functools.partial(tsrg.classifier._dual_cd_hinge, max_epochs=2)
-    monkeypatch.setattr(tsrg.classifier, "_dual_cd_hinge", capped)
+    monkeypatch.setattr(tsrg.classifier, "_MAX_EPOCHS", 2)
     model = train(correlated(), penalty_c=1.0)
     assert model.epochs == (2, 2, 2)
     assert model.converged == (False, False, False)

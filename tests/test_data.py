@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import tsrg.cli
 from tsrg.data import (DatasetManifest, ManifestEntry, SynthSpec, _read_clip,
                        apply_label_map, ingest_csv, ingest_manifest,
                        load_manifest, synth_generate, write_dataset_csv)
-from tsrg.errors import EmptyDatasetError, IngestionError, LabelMapError, SpecError
+from tsrg.errors import (EmptyDatasetError, IngestionError, LabelMapError,
+                         NonFiniteError, SpecError)
 from tsrg.kernels import FeatureMatrix, KernelSpec, mmd
 from tsrg.lbptop import LbpTopParams, VideoClip, extract
 
@@ -72,6 +74,59 @@ class TestCsvIngestion:
         path.write_text("f0,f1,label\n1,2,x\n3,y\n")
         with pytest.raises(IngestionError, match="bad.csv:3"):
             ingest_csv(path)
+
+    def test_first_fault_in_file_order_is_reported(self, tmp_path):
+        # a bad value on line 2 comes before an oversized field on line 3
+        path = tmp_path / "bad.csv"
+        path.write_text('f0,label\nabc,x\n2,"' + "y" * 131073 + "\n")
+        with pytest.raises(IngestionError,
+                           match="^" + re.escape(f"{path}:2: could not convert string to "
+                                                 "float: 'abc'") + "$"):
+            ingest_csv(path)
+
+    def test_write_then_ingest_is_bit_exact(self, tmp_path):
+        from tsrg.classifier import LabeledDataset
+        values = np.array([[-0.0, 5e-324, 1e308, -1e308],
+                           [0.30000000000000004, 1.2345678901234567, 2.2250738585072014e-308,
+                            -9.999999999999998e-301],
+                           [1.0, -2.5, 0.0, 3.141592653589793]])
+        names = ("a,b", 'say "hi"', "two\nlines")
+        data = LabeledDataset(FeatureMatrix(values), np.array([0, 1, 2, 1]), names)
+        path = tmp_path / "data.csv"
+        write_dataset_csv(path, data)
+        loaded = ingest_csv(path)
+        assert loaded.features.data.tobytes() == values.tobytes()
+        assert loaded.features.data.strides == (8, 8 * 3)  # F-ordered d x n
+        assert loaded.class_names == tuple(sorted(names))
+        assert ([loaded.class_names[i] for i in loaded.labels]
+                == [names[i] for i in data.labels])
+
+    def test_float_forms_are_those_of_float(self, tmp_path):
+        path = tmp_path / "forms.csv"
+        path.write_text("f0,f1,f2,label\n1_0, 2.5 ,+1e3,x\n")
+        assert ingest_csv(path).features.data.tobytes() == np.array([10.0, 2.5, 1000.0]).tobytes()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1,{cell},x\n")
+        with pytest.raises(NonFiniteError, match="feature matrix contains NaN/Inf"):
+            ingest_csv(path)
+
+    def test_peak_memory_is_near_twice_the_matrix(self, tmp_path):
+        from tsrg.classifier import LabeledDataset
+        rng = np.random.default_rng(0)
+        path = tmp_path / "wide.csv"
+        write_dataset_csv(path, LabeledDataset(FeatureMatrix(rng.standard_normal((4000, 150))),
+                                               np.arange(150) % 3, ("a", "b", "c")))
+        tracemalloc.start()
+        try:
+            data = ingest_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the row arrays, then the matrix stacked from them: about 2x
+        assert peak < 2.5 * data.features.data.nbytes
 
 
 SMALL_LBP = LbpTopParams(grids=(1, 2))

@@ -399,6 +399,25 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("content, message", [
+        (b"f0,f1,label\n0,1,a\n1,b\n", ":3: expected 3 columns, got 2"),
+        (b"f0,f1,label\n0,1,a\n1,abc,b\n", ":3: could not convert string to float: 'abc'"),
+        (b'f0,f1,label\n0,1,a\n1,0,"' + b"b" * 131073 + b"\n",
+         ":3: field larger than field limit (131072)"),
+        (b"f0,f1,label\n0,1,\xff\n", ": 'utf-8' codec can't decode byte 0xff in position 16: "
+                                     "invalid start byte"),
+    ], ids=["ragged", "not-a-number", "unclosed-quote", "not-utf-8"])
+    def test_unreadable_feature_csv_exits_1_naming_the_file(self, capsys, tmp_path,
+                                                            dataset_files, content, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        src, _ = dataset_files
+        status = tsrg.cli.main(["run", "--source", str(src), "--target", str(bad),
+                                "--seed", "0", "--out-dir", str(tmp_path / "o")])
+        assert status == 1
+        assert capsys.readouterr().err == f"error: {bad}{message}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["synth", "run"], ids=["spec", "label-map"])
     def test_json_parse_error_names_the_file(self, capsys, tmp_path, dataset_files, command):
         bad = tmp_path / "bad.json"
