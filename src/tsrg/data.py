@@ -166,6 +166,8 @@ def ingest_csv(path: str | Path, label_map: dict[str, str | None] | None = None,
         reader = csv.reader(fh)
         try:
             width = len(next(reader, ()))
+            if width < 2:  # at least one feature, then the label
+                raise IngestionError(f"{path}:1: expected at least 2 columns, got {width}")
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != width:
                     raise IngestionError(f"{path}:{lineno}: expected {width} columns, "
@@ -187,7 +189,10 @@ def ingest_csv(path: str | Path, label_map: dict[str, str | None] | None = None,
         features = features[:, kept]
     if not labels:
         raise EmptyDatasetError(f"{path}: no samples after label mapping")
-    return dataset_from_arrays(features, labels, class_names)
+    try:
+        return dataset_from_arrays(features, labels, class_names)
+    except IngestionError as err:  # a label outside the given class_names
+        raise IngestionError(f"{path}: {err}") from err
 
 
 def ingest_manifest(manifest: DatasetManifest,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from . import classifier as clf
 from .classifier import LabeledDataset
-from .errors import IngestionError
+from .errors import DimensionError, IngestionError
 from .kernels import FeatureMatrix, KernelSpec, mmd
 from .metrics import EvalReport, evaluate, render_text
 from .solver import SolverConfig, SolverTrace, TsrgModel, fit, regenerate
@@ -65,6 +65,8 @@ def prepare_pair(source: LabeledDataset, target: LabeledDataset,
             f"class sets differ: {source.class_names} vs {target.class_names}"
         )
     x_s, x_t = source.features, target.features
+    if x_s.d != x_t.d:
+        raise DimensionError(f"source and target feature counts differ: {x_s.d} vs {x_t.d}")
     if config.standardize:
         mean = x_s.data.mean(axis=1, keepdims=True)
         std = x_s.data.std(axis=1, keepdims=True)

@@ -116,21 +116,13 @@ class AugmentedKernels:
     k_s: np.ndarray
     k_t: np.ndarray
     delta_k: np.ndarray = field(init=False)
-    n_s: int = field(init=False)
-    n_t: int = field(init=False)
 
     def __post_init__(self):
-        n_s = self.k_s.shape[1]
-        n_t = self.k_t.shape[1]
-        if self.k_s.shape[0] != n_s + n_t or self.k_t.shape[0] != n_s + n_t:
-            raise DimensionError(
-                f"augmented blocks must have {n_s + n_t} rows, "
-                f"got {self.k_s.shape[0]} and {self.k_t.shape[0]}"
-            )
-        delta = self.k_s.mean(axis=1) - self.k_t.mean(axis=1)
-        object.__setattr__(self, "delta_k", delta)
-        object.__setattr__(self, "n_s", n_s)
-        object.__setattr__(self, "n_t", n_t)
+        rows = self.k_s.shape[1] + self.k_t.shape[1]  # n_s + n_t anchors
+        if self.k_s.shape[0] != rows or self.k_t.shape[0] != rows:
+            raise DimensionError(f"augmented blocks must have {rows} rows, "
+                                 f"got {self.k_s.shape[0]} and {self.k_t.shape[0]}")
+        object.__setattr__(self, "delta_k", self.k_s.mean(axis=1) - self.k_t.mean(axis=1))
 
 
 def build_augmented(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec) -> AugmentedKernels:
@@ -148,45 +140,37 @@ def build_augmented(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec) ->
     return AugmentedKernels(k_s=full[:, : x_s.n], k_t=full[:, x_s.n :])
 
 
-def _mean_gap(x_s: FeatureMatrix, x_t: FeatureMatrix) -> np.ndarray:
-    return x_s.data.mean(axis=1) - x_t.data.mean(axis=1)
+def mmd(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec) -> float:
+    """Biased empirical MMD: the distance between the kernel mean maps.
 
-
-def mmd_squared(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec) -> float:
-    """Biased squared MMD: the squared distance between the kernel mean maps.
-
-    The linear kernel's mean maps are the sample means, so their difference
-    is taken directly.  For other kernels each Gram block is summed exactly
+    The linear kernel's mean maps are the sample means, so their gap is taken
+    directly; when its squared norm overflows, the gap is divided by its
+    largest magnitude first, so a distance that does not itself overflow is
+    still returned.  For other kernels each Gram block is summed exactly
     (``math.fsum``), so a block mean does not depend on the order in which
     its entries are added, and equal mean maps cancel to 0 rather than to
-    rounding noise that the square root in ``mmd`` would amplify.  Distinct
-    sets may still give a tiny negative.
+    rounding noise that the square root would amplify.  Distinct sets may
+    still give a tiny negative square, which is taken as 0.
     """
     if x_s.d != x_t.d:
         raise DimensionError(f"source/target dimensions differ: {x_s.d} vs {x_t.d}")
     if spec.kind == "linear":
-        delta = _mean_gap(x_s, x_t)
-        with np.errstate(over="ignore"):  # inf is the answer; ``mmd`` rescales
-            return float(delta @ delta)
-    spec = spec.resolved(x_s, x_t)
+        delta = x_s.data.mean(axis=1) - x_t.data.mean(axis=1)
+        with np.errstate(over="ignore"):  # an overflow is rescaled below
+            sq = float(delta @ delta)
+        if sq == math.inf:
+            scale = float(np.max(np.abs(delta)))
+            unit = delta / scale
+            dist = scale * math.sqrt(float(unit @ unit))
+            if math.isfinite(dist):
+                return dist
+    else:
+        spec = spec.resolved(x_s, x_t)
 
-    def block_mean(a: FeatureMatrix, b: FeatureMatrix) -> float:
-        return math.fsum(gram_matrix(a, b, spec).ravel().tolist()) / (a.n * b.n)
+        def block_mean(a: FeatureMatrix, b: FeatureMatrix) -> float:
+            return math.fsum(gram_matrix(a, b, spec).ravel().tolist()) / (a.n * b.n)
 
-    return block_mean(x_s, x_s) + block_mean(x_t, x_t) - 2.0 * block_mean(x_s, x_t)
-
-
-def mmd(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec) -> float:
-    """Empirical MMD: distance between the kernel mean maps of the two sets."""
-    sq = mmd_squared(x_s, x_t, spec)
-    if sq == math.inf and spec.kind == "linear":
-        # the squared distance overflowed, which the distance itself may not
-        delta = _mean_gap(x_s, x_t)
-        scale = float(np.max(np.abs(delta)))
-        unit = delta / scale
-        dist = scale * math.sqrt(float(unit @ unit))
-        if math.isfinite(dist):
-            return dist
+        sq = block_mean(x_s, x_s) + block_mean(x_t, x_t) - 2.0 * block_mean(x_s, x_t)
     if not math.isfinite(sq):
         raise NonFiniteError(f"squared MMD is {sq}")
     return math.sqrt(max(0.0, sq))

@@ -99,11 +99,9 @@ class TsrgModel:
 
 def objective_terms(p: np.ndarray, x_s: FeatureMatrix,
                     ak: AugmentedKernels) -> tuple[float, float, float]:
-    if p.shape != (ak.n_s + ak.n_t, x_s.d):
-        raise DimensionError(
-            f"P must be {(ak.n_s + ak.n_t, x_s.d)}, got {p.shape}"
-        )
-    if x_s.n != ak.n_s:
+    if p.shape != (len(ak.delta_k), x_s.d):
+        raise DimensionError(f"P must be {(len(ak.delta_k), x_s.d)}, got {p.shape}")
+    if x_s.n != ak.k_s.shape[1]:
         raise DimensionError("augmented kernels inconsistent with source matrix")
     resid = x_s.data - p.T @ ak.k_s
     recon = float(np.sum(resid * resid))
@@ -244,8 +242,7 @@ def fit(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec,
         p, trace = v @ ((v.T @ base) / w[:, None]), SolverTrace(converged=True)
     # stacked only once the loop's buffers are freed
     anchors = FeatureMatrix(np.concatenate([x_s.data, x_t.data], axis=1))
-    model = TsrgModel(p=p, anchors=anchors, kernel=spec,
-                      n_s=ak.n_s, n_t=ak.n_t, config=config)
+    model = TsrgModel(p=p, anchors=anchors, kernel=spec, n_s=x_s.n, n_t=x_t.n, config=config)
     return model, trace
 
 

@@ -24,7 +24,7 @@ def objective(p: np.ndarray, x_s: FeatureMatrix, ak: AugmentedKernels,
 
 def fg_residual(model: TsrgModel, ak: AugmentedKernels) -> float:
     """Squared distance between the regenerated source and target means."""
-    if model.p.shape[0] != ak.n_s + ak.n_t:
+    if model.p.shape[0] != len(ak.delta_k):
         raise DimensionError("model and augmented kernels disagree on anchor count")
     g = model.p.T @ ak.delta_k
     return float(np.dot(g, g))
@@ -74,7 +74,7 @@ def ialm_reference(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec,
     the final P and, per iteration, max|P - Q| and the updated kappa."""
     spec = spec.resolved(x_s, x_t)
     ak = build_augmented(x_s, x_t, spec)
-    shape = (ak.n_s + ak.n_t, x_s.d)
+    shape = (len(ak.delta_k), x_s.d)
     p, t = np.zeros(shape), np.zeros(shape)
     kappa = solver._KAPPA0
     feasibility, kappas = [], []

@@ -399,6 +399,30 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_target_label_missing_from_source_names_the_target(self, capsys, tmp_path):
+        src, tgt = tmp_path / "s.csv", tmp_path / "t.csv"
+        src.write_text("f0,f1,label\n0,1,a\n1,0,b\n0,2,a\n2,0,b\n")
+        tgt.write_text("f0,f1,label\n0,1,a\n1,0,c\n")
+        status = tsrg.cli.main(["run", "--source", str(src), "--target", str(tgt),
+                                "--seed", "0", "--out-dir", str(tmp_path / "o")])
+        assert status == 1
+        assert capsys.readouterr().err == f"error: {tgt}: unknown label 'c'\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kernel", ["linear", "gaussian"])
+    def test_feature_counts_must_agree(self, capsys, tmp_path, kernel):
+        # checked before the kernel (gaussian) or the SVM (linear) meets the mismatch
+        src, tgt = tmp_path / "s.csv", tmp_path / "t.csv"
+        src.write_text("f0,f1,label\n0,1,a\n1,0,b\n0,2,a\n2,0,b\n")
+        tgt.write_text("f0,label\n0,a\n1,b\n")
+        status = tsrg.cli.main(["run", "--source", str(src), "--target", str(tgt),
+                                "--kernel", kernel, "--seed", "0",
+                                "--out-dir", str(tmp_path / "o")])
+        assert status == 1
+        assert capsys.readouterr().err == (
+            "error: source and target feature counts differ: 2 vs 1\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("content, message", [
         (b"f0,f1,label\n0,1,a\n1,b\n", ":3: expected 3 columns, got 2"),
         (b"f0,f1,label\n0,1,a\n1,abc,b\n", ":3: could not convert string to float: 'abc'"),
@@ -406,7 +430,10 @@ class TestCli:
          ":3: field larger than field limit (131072)"),
         (b"f0,f1,label\n0,1,\xff\n", ": 'utf-8' codec can't decode byte 0xff in position 16: "
                                      "invalid start byte"),
-    ], ids=["ragged", "not-a-number", "unclosed-quote", "not-utf-8"])
+        (b"\n\n", ":1: expected at least 2 columns, got 0"),
+        (b"label\na\nb\n", ":1: expected at least 2 columns, got 1"),
+    ], ids=["ragged", "not-a-number", "unclosed-quote", "not-utf-8", "blank-header",
+            "label-only-header"])
     def test_unreadable_feature_csv_exits_1_naming_the_file(self, capsys, tmp_path,
                                                             dataset_files, content, message):
         bad = tmp_path / "bad.csv"

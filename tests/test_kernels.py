@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from tsrg.errors import DimensionError, NonFiniteError
 from tsrg.kernels import (AugmentedKernels, FeatureMatrix, KernelSpec,
-                          build_augmented, gram_matrix, mmd, mmd_squared)
+                          build_augmented, gram_matrix, mmd)
 
 from oracles import full_gram, kernel_eval
 
@@ -215,7 +215,9 @@ def test_mmd_of_overflowing_samples_raises(spec):
 def test_linear_mmd_of_huge_samples_is_finite():
     # the squared distance overflows, the distance (about 1.6e200) does not
     x_s, x_t = fm(HUGE[:, :4]), fm(HUGE[:, 4:])
-    assert mmd_squared(x_s, x_t, LINEAR) == math.inf
+    delta = HUGE[:, :4].mean(axis=1) - HUGE[:, 4:].mean(axis=1)
+    with np.errstate(over="ignore"):
+        assert float(delta @ delta) == math.inf  # so mmd takes its rescaling path
     scaled = (HUGE[:, :4] / 1e200).mean(axis=1) - (HUGE[:, 4:] / 1e200).mean(axis=1)
     assert mmd(x_s, x_t, LINEAR) == pytest.approx(1e200 * np.linalg.norm(scaled), rel=1e-14)
 
@@ -273,12 +275,23 @@ def test_linear_mmd_equals_mean_difference_norm(a, b):
     if a.shape[0] != b.shape[0]:
         b = np.resize(b, (a.shape[0], b.shape[1]))
     fa, fb = FeatureMatrix(a), FeatureMatrix(b)
-    direct = np.linalg.norm(a.mean(axis=1) - b.mean(axis=1))
-    assert mmd(fa, fb, LINEAR) == pytest.approx(direct, abs=1e-9)
+    delta = a.mean(axis=1) - b.mean(axis=1)
+    assert mmd(fa, fb, LINEAR) == pytest.approx(np.linalg.norm(delta), abs=1e-9)
+    assert mmd(fa, fb, LINEAR) == math.sqrt(float(delta @ delta))  # bit for bit
 
 
-def test_mmd_squared_exposed_for_cross_checks():
-    rng = np.random.default_rng(12)
-    x_s, x_t = fm(rng.standard_normal((3, 4))), fm(rng.standard_normal((3, 6)))
-    m = mmd(x_s, x_t, LINEAR)
-    assert mmd_squared(x_s, x_t, LINEAR) == pytest.approx(m * m, rel=1e-12)
+@settings(max_examples=40, deadline=None)
+@given(finite_mats, finite_mats, st.sampled_from([None, 0.5, 3.0]))
+@example(PERMUTED_GAUSSIAN_1D, PERMUTED_GAUSSIAN_1D[:, ::-1], 1.0)
+def test_gaussian_mmd_is_the_root_of_exactly_summed_block_means(a, b, bandwidth):
+    if a.shape[0] != b.shape[0]:
+        b = np.resize(b, (a.shape[0], b.shape[1]))
+    fa, fb = FeatureMatrix(a), FeatureMatrix(b)
+    spec = KernelSpec("gaussian", bandwidth)
+    resolved = spec.resolved(fa, fb)
+
+    def block_mean(x, y):
+        return math.fsum(gram_matrix(x, y, resolved).ravel().tolist()) / (x.n * y.n)
+
+    sq = block_mean(fa, fa) + block_mean(fb, fb) - 2.0 * block_mean(fa, fb)
+    assert mmd(fa, fb, spec) == math.sqrt(max(0.0, sq))  # bit for bit
