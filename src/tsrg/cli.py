@@ -49,9 +49,7 @@ def _read_json(path: str):
 
 
 def _load_datasets(args):
-    label_map = None
-    if args.label_map:
-        label_map = _read_json(args.label_map)
+    label_map = _read_json(args.label_map) if args.label_map else None
     source = ingest_csv(args.source, label_map)
     target = ingest_csv(args.target, label_map, class_names=source.class_names)
     return source, target

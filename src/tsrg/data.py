@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import LabeledDataset
-from .errors import EmptyDatasetError, IngestionError, LabelMapError, SpecError
+from .errors import (EmptyDatasetError, IngestionError, LabelMapError, SpecError,
+                     UnmappedLabelError)
 from .kernels import FeatureMatrix
 from .lbptop import LbpTopParams, VideoClip, extract
 
@@ -86,7 +87,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 def apply_label_map(labels: list[str],
                     mapping: dict[str, str | None]) -> tuple[list[str], list[int]]:
     """Remap label strings; a None target drops the sample, and a label the
-    map does not name is a ``LabelMapError``.
+    map does not name is an ``UnmappedLabelError``, a ``LabelMapError``.
 
     Returns the new labels and the indices of the kept samples.
     """
@@ -98,14 +99,11 @@ def apply_label_map(labels: list[str],
                                 "to a label or null")
     out, kept = [], []
     for i, lab in enumerate(labels):
-        if lab in mapping:
-            target = mapping[lab]
-            if target is None:
-                continue
-            out.append(target)
+        if lab not in mapping:
+            raise UnmappedLabelError(f"label {lab!r} has no mapping and no drop policy")
+        if mapping[lab] is not None:
+            out.append(mapping[lab])
             kept.append(i)
-        else:
-            raise LabelMapError(f"label {lab!r} has no mapping and no drop policy")
     return out, kept
 
 
@@ -185,7 +183,10 @@ def ingest_csv(path: str | Path, label_map: dict[str, str | None] | None = None,
         raise EmptyDatasetError(f"{path}: no data rows")
     features = np.array(rows).T  # an F-ordered d x n view; the peak is about 2x the matrix
     if label_map is not None:
-        labels, kept = apply_label_map(labels, label_map)
+        try:
+            labels, kept = apply_label_map(labels, label_map)
+        except UnmappedLabelError as err:  # a malformed map is the map's fault, not the file's
+            raise UnmappedLabelError(f"{path}: {err}") from err
         features = features[:, kept]
     if not labels:
         raise EmptyDatasetError(f"{path}: no samples after label mapping")

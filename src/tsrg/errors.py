@@ -37,5 +37,9 @@ class LabelMapError(TsrgError):
     """A label map is malformed, or a label has no mapping and no drop policy."""
 
 
+class UnmappedLabelError(LabelMapError):
+    """A label has no mapping and no drop policy."""
+
+
 class SpecError(TsrgError):
     """A synthetic-data spec is invalid (e.g. a shift offset of the wrong length)."""

@@ -186,14 +186,10 @@ def read_reports(text: str, name: str = "records") -> list[tuple[dict, EvalRepor
             except ValueError as err:
                 raise IngestionError(f"{where}: {key} {err}") from err
         for key in ("mmd_before", "mmd_after"):
-            if not _is_real(rec[key]):
+            if not isinstance(rec[key], (int, float)) or isinstance(rec[key], bool):
                 raise IngestionError(f"{where}: {key} must be a number")
         records.append((rec, *reports))
     return records
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def render_result(result: ExperimentResult, source_name: str = "source",

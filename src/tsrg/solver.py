@@ -81,20 +81,25 @@ class SolverTrace:
 
 @dataclass(frozen=True)
 class TsrgModel:
-    """Everything needed to apply the learned re-generator."""
+    """The learned re-generator: P and the x_s and x_t it was fit on, referenced, not copied."""
 
     p: np.ndarray
-    anchors: FeatureMatrix
+    x_s: FeatureMatrix
+    x_t: FeatureMatrix
     kernel: KernelSpec
-    n_s: int
-    n_t: int
     config: SolverConfig
 
     def __post_init__(self):
-        if self.p.shape[0] != self.anchors.n:
-            raise DimensionError(
-                f"P has {self.p.shape[0]} rows but there are {self.anchors.n} anchors"
-            )
+        if self.x_s.d != self.x_t.d:
+            raise DimensionError(f"x_s and x_t dimensions differ: {self.x_s.d} vs {self.x_t.d}")
+        shape = (self.x_s.n + self.x_t.n, self.x_s.d)  # a row per anchor, a column per dimension
+        if self.p.shape != shape:
+            raise DimensionError(f"P has shape {self.p.shape}, not {shape}")
+
+    @property
+    def anchors(self) -> FeatureMatrix:
+        """The pooled anchors [X_s, X_t], stacked anew on each read."""
+        return FeatureMatrix(np.concatenate([self.x_s.data, self.x_t.data], axis=1))
 
 
 def objective_terms(p: np.ndarray, x_s: FeatureMatrix,
@@ -240,16 +245,11 @@ def fit(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec,
         keep = w > len(w) * np.finfo(float).eps * w.max()
         w, v = w[keep], v[:, keep]
         p, trace = v @ ((v.T @ base) / w[:, None]), SolverTrace(converged=True)
-    # stacked only once the loop's buffers are freed
-    anchors = FeatureMatrix(np.concatenate([x_s.data, x_t.data], axis=1))
-    model = TsrgModel(p=p, anchors=anchors, kernel=spec, n_s=x_s.n, n_t=x_t.n, config=config)
-    return model, trace
+    return TsrgModel(p=p, x_s=x_s, x_t=x_t, kernel=spec, config=config), trace
 
 
 def regenerate(model: TsrgModel, x: FeatureMatrix) -> FeatureMatrix:
     """Apply the learned map: columns P^T k(anchors, x_j)."""
-    if x.d != model.anchors.d:
-        raise DimensionError(f"input dimension {x.d} != anchor dimension {model.anchors.d}")
     k = gram_matrix(model.anchors, x, model.kernel)
     return FeatureMatrix(model.p.T @ k)
 
@@ -258,9 +258,10 @@ MODEL_FORMAT_VERSION = 1
 
 
 def save_model(model: TsrgModel, path: str | Path) -> None:
-    """Serialize a model to an .npz archive; P round-trips bit-exactly.  The anchors
-    are the data ``fit`` saw, standardized after a standardized run, and no mean or
-    std is saved: ``regenerate`` then needs inputs scaled the same way, not raw ones."""
+    """Serialize a model to an .npz archive; P round-trips bit-exactly.  ``anchors``
+    stacks the x_s and x_t the model references (it holds no copy of them): the data
+    ``fit`` saw, standardized after a standardized run.  No mean or std is saved, so
+    ``regenerate`` needs inputs scaled the same way, not raw ones."""
     cfg = json.dumps(asdict(model.config), sort_keys=True)
     np.savez(
         path,
@@ -269,8 +270,8 @@ def save_model(model: TsrgModel, path: str | Path) -> None:
         anchors=model.anchors.data,
         kernel_kind=np.str_(model.kernel.kind),
         kernel_bandwidth=np.float64(model.kernel.bandwidth if model.kernel.bandwidth is not None else np.nan),
-        n_s=np.int64(model.n_s),
-        n_t=np.int64(model.n_t),
+        n_s=np.int64(model.x_s.n),
+        n_t=np.int64(model.x_t.n),
         config_json=np.str_(cfg),
     )
 
@@ -286,8 +287,8 @@ def load_model(path: str | Path) -> TsrgModel:
         if not (isinstance(cfg, dict)
                 and all(type(cfg.get(k)) in (int, float) for k in ("lam", "mu"))):
             raise ValueError("model config_json must be an object with numeric lam and mu")
-        return TsrgModel(
-            p=z["p"], anchors=FeatureMatrix(z["anchors"]), kernel=spec,
-            n_s=int(z["n_s"]), n_t=int(z["n_t"]),
-            config=SolverConfig(lam=cfg["lam"], mu=cfg["mu"]),
-        )
+        anchors, n_s, n_t = FeatureMatrix(z["anchors"]).data, int(z["n_s"]), int(z["n_t"])
+        if not (0 < n_s < anchors.shape[1] and n_s + n_t == anchors.shape[1]):
+            raise DimensionError(f"n_s, n_t = {n_s}, {n_t} do not split {anchors.shape[1]} anchors")
+        return TsrgModel(z["p"], FeatureMatrix(anchors[:, :n_s]), FeatureMatrix(anchors[:, n_s:]),
+                         spec, SolverConfig(lam=cfg["lam"], mu=cfg["mu"]))

@@ -180,8 +180,8 @@ def test_criterion_7_degenerate_mean_gap():
     rng = np.random.default_rng(10)
     for _ in range(50):
         randomized = type(model)(p=rng.standard_normal(model.p.shape),
-                                 anchors=model.anchors, kernel=model.kernel,
-                                 n_s=model.n_s, n_t=model.n_t, config=model.config)
+                                 x_s=model.x_s, x_t=model.x_t, kernel=model.kernel,
+                                 config=model.config)
         assert fg_residual(randomized, ak) == 0.0
     ok(7, "identical domains give exactly zero regenerated mean gap for 50 random P")
 

@@ -75,7 +75,7 @@ def test_standardized_run_saves_standardized_anchors(tmp_path):
     mean, std = x_s.mean(axis=1, keepdims=True), x_s.std(axis=1, keepdims=True)
     raw = np.concatenate([x_s, target.features.data], axis=1)
     np.testing.assert_array_equal(model.anchors.data, (raw - mean) / std)
-    assert np.abs(model.anchors.data[:, :model.n_s].mean(axis=1)).max() < 1e-12
+    assert np.abs(model.anchors.data[:, :model.x_s.n].mean(axis=1)).max() < 1e-12
     save_model(model, tmp_path / "m.npz")
     with np.load(tmp_path / "m.npz") as z:
         assert sorted(z.files) == ["anchors", "config_json", "kernel_bandwidth", "kernel_kind",
@@ -127,6 +127,18 @@ def test_grid_rows_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         row.best = False
     assert row.best
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_grid_rows_share_one_pair_of_anchors(standardize):
+    # every row's model references the pair prepare_pair built once, not a copy
+    source, target = synth_generate(bench_spec(3))
+    config = ExperimentConfig(standardize=standardize)
+    models = [row.result.model
+              for row in grid_search(source, target, config, [1.0, 10.0], [1e-3, 1e-2])]
+    assert all(np.shares_memory(a.x_s.data, b.x_s.data)
+               and np.shares_memory(a.x_t.data, b.x_t.data) for a in models for b in models)
+    assert not np.shares_memory(models[0].x_s.data, models[0].x_t.data)
 
 
 def test_grid_checks_every_cell_before_the_first_fit(monkeypatch, tmp_path, dataset_files):
@@ -397,6 +409,22 @@ class TestCli:
                                 "--seed", "0", "--out-dir", str(tmp_path / "o")])
         assert status == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("holder", ["source", "target"])
+    def test_unmapped_label_names_the_file_that_holds_it(self, capsys, tmp_path, holder):
+        files = {"source": tmp_path / "s.csv", "target": tmp_path / "t.csv"}
+        for name, path in files.items():
+            extra = "x" if name == holder else "a"
+            path.write_text(f"f0,f1,label\n0,1,a\n1,0,b\n0,2,{extra}\n2,0,b\n")
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps({"a": "a", "b": "b"}))
+        status = tsrg.cli.main(["run", "--source", str(files["source"]),
+                                "--target", str(files["target"]), "--label-map", str(map_path),
+                                "--seed", "0", "--out-dir", str(tmp_path / "o")])
+        assert status == 1
+        assert capsys.readouterr().err == (
+            f"error: {files[holder]}: label 'x' has no mapping and no drop policy\n")
         assert not (tmp_path / "o").exists()
 
     def test_target_label_missing_from_source_names_the_target(self, capsys, tmp_path):

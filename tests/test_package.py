@@ -32,6 +32,18 @@ def test_readme_library_import():
     exec(statement.group(0), {})
 
 
+def test_readme_library_example_runs_end_to_end():
+    # the block draws synth_generate data, fits, regenerates and measures the MMD
+    readme = (REPO / "README.md").read_text()
+    block = re.search(r"^## Library\n+```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert block is not None, "README's Library section opens with no python block"
+    scope = {}
+    exec(block.group(1), scope)
+    assert scope["model"].x_s is scope["x_s"] and scope["model"].x_t is scope["x_t"]
+    assert scope["x_t_regen"].data.shape == scope["x_t"].data.shape
+    assert scope["gap_after"] < scope["gap_before"]
+
+
 def test_readme_cli_flags_exist():
     readme = (REPO / "README.md").read_text()
     section = re.search(r"^## CLI\n(.*?)^## ", readme, re.MULTILINE | re.DOTALL)

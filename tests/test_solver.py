@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsrg.solver
-from tsrg.errors import DimensionError, NonFiniteError, NumericalError
+from tsrg.errors import DimensionError, NonFiniteError, NumericalError, TsrgError
 from tsrg.kernels import FeatureMatrix, KernelSpec, build_augmented, mmd
 from tsrg.solver import (SolverConfig, _q_system, _solve_spd, fit,
                          load_model, objective_terms, regenerate, save_model,
@@ -247,6 +247,25 @@ class TestFit:
         rel = np.linalg.norm(x_s.data - regen.data) / np.linalg.norm(x_s.data)
         assert rel < 1e-6
 
+    def test_model_references_the_pair_it_was_fit_on(self):
+        x_s, x_t = random_pair(11)
+        model, _ = fit(x_s, x_t, LINEAR, SolverConfig(lam=1.0, mu=0.01))
+        assert model.x_s is x_s and model.x_t is x_t
+        stacked = np.concatenate([x_s.data, x_t.data], axis=1)
+        assert model.anchors.data.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("p_shape, d_t, message", [
+        ((8, 3), 3, r"^P has shape \(8, 3\), not \(9, 3\)$"),
+        ((9, 4), 3, r"^P has shape \(9, 4\), not \(9, 3\)$"),
+        ((9,), 3, r"^P has shape \(9,\), not \(9, 3\)$"),
+        ((9, 3), 4, "^x_s and x_t dimensions differ: 3 vs 4$"),
+    ], ids=["p-rows", "p-columns", "p-vector", "dimensions"])
+    def test_model_rejects_parts_that_do_not_fit_together(self, p_shape, d_t, message):
+        x_s, _ = random_pair(12)  # 3 x 5
+        with pytest.raises(DimensionError, match=message):
+            tsrg.solver.TsrgModel(np.zeros(p_shape), x_s, FeatureMatrix(np.ones((d_t, 4))),
+                                  LINEAR, SolverConfig())
+
     def test_matches_normal_equations_oracle(self):
         for seed in range(5):
             x_s, x_t = random_pair(seed, d=3, n_s=6, n_t=5)
@@ -329,9 +348,8 @@ class TestRegenerate:
     def test_zero_p_gives_zero_output(self):
         x_s, x_t = random_pair(17)
         model, _ = fit(x_s, x_t, LINEAR, EXACT_CFG)
-        zeroed = type(model)(p=np.zeros_like(model.p), anchors=model.anchors,
-                             kernel=model.kernel, n_s=model.n_s, n_t=model.n_t,
-                             config=model.config)
+        zeroed = type(model)(p=np.zeros_like(model.p), x_s=model.x_s, x_t=model.x_t,
+                             kernel=model.kernel, config=model.config)
         np.testing.assert_array_equal(regenerate(zeroed, x_s).data, 0.0)
 
     def test_single_column_naive_loop(self):
@@ -360,8 +378,8 @@ class TestFgResidual:
         rng = np.random.default_rng(22)
         for _ in range(10):
             randomized = type(model)(p=rng.standard_normal(model.p.shape),
-                                     anchors=model.anchors, kernel=model.kernel,
-                                     n_s=model.n_s, n_t=model.n_t, config=model.config)
+                                     x_s=model.x_s, x_t=model.x_t, kernel=model.kernel,
+                                     config=model.config)
             assert fg_residual(randomized, ak) == 0.0
 
     def test_two_path_agreement(self):
@@ -385,7 +403,7 @@ class TestSerialization:
         assert np.array_equal(loaded.anchors.data, model.anchors.data)
         assert loaded.kernel == model.kernel
         assert loaded.config == model.config
-        assert (loaded.n_s, loaded.n_t) == (model.n_s, model.n_t)
+        assert (loaded.x_s.n, loaded.x_t.n) == (model.x_s.n, model.x_t.n)
 
     def test_loaded_model_regenerates_identically(self, tmp_path):
         x_s, x_t = random_pair(25)
@@ -395,12 +413,32 @@ class TestSerialization:
         np.testing.assert_array_equal(regenerate(loaded, x_t).data,
                                       regenerate(model, x_t).data)
 
+    @pytest.mark.parametrize("kernel", [LINEAR, KernelSpec("gaussian")], ids=["linear", "gaussian"])
+    def test_resaving_a_loaded_model_rewrites_its_bytes(self, tmp_path, kernel):
+        x_s, x_t = random_pair(26)
+        model, _ = fit(x_s, x_t, kernel, SolverConfig(lam=1.0, mu=0.01))
+        save_model(model, tmp_path / "a.npz")
+        save_model(load_model(tmp_path / "a.npz"), tmp_path / "b.npz")
+        assert (tmp_path / "b.npz").read_bytes() == (tmp_path / "a.npz").read_bytes()
+
+    @pytest.mark.parametrize("n_s, n_t", [(0, 9), (9, 0), (-1, 10), (4, 4)],
+                             ids=["no-source", "no-target", "negative", "short"])
+    def test_rejects_counts_that_do_not_split_the_anchors(self, tmp_path, n_s, n_t):
+        x_s, x_t = random_pair(29)  # 5 + 4 anchors
+        model, _ = fit(x_s, x_t, LINEAR, SolverConfig(lam=1.0, mu=0.01))
+        save_model(model, tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as z:
+            fields = dict(z)
+        np.savez(tmp_path / "m.npz", **{**fields, "n_s": np.int64(n_s), "n_t": np.int64(n_t)})
+        with pytest.raises(TsrgError, match=f"^n_s, n_t = {n_s}, {n_t} do not split 9 anchors$"):
+            load_model(tmp_path / "m.npz")
+
     @staticmethod
     def write(path, model, config_json):
         """An .npz in the version-1 layout with the given config_json."""
         np.savez(path, version=np.int64(1), p=model.p, anchors=model.anchors.data,
                  kernel_kind=np.str_(model.kernel.kind), kernel_bandwidth=np.float64(np.nan),
-                 n_s=np.int64(model.n_s), n_t=np.int64(model.n_t),
+                 n_s=np.int64(model.x_s.n), n_t=np.int64(model.x_t.n),
                  config_json=np.str_(config_json))
 
     def test_loads_a_config_that_also_holds_the_schedule(self, tmp_path):
