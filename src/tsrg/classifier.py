@@ -160,5 +160,4 @@ def decision_scores(model: LinearClassifier, x: FeatureMatrix) -> np.ndarray:
 
 def predict(model: LinearClassifier, x: FeatureMatrix) -> np.ndarray:
     """Argmax class score per column; ties break toward the lowest class id."""
-    scores = decision_scores(model, x)
-    return np.argmax(scores, axis=0)  # np.argmax returns the first (lowest) maximizer
+    return np.argmax(decision_scores(model, x), axis=0)  # the first (lowest) maximizer

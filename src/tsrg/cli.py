@@ -67,8 +67,14 @@ def _experiment_config(args, **penalties: float) -> ExperimentConfig:
     )
 
 
-def _parse_grid(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _list_of(kind: Callable[[str], object]) -> Callable[[str], list]:
+    """The argparse type of comma-separated ``kind`` values, blank entries skipped."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(v) for v in text.split(",") if v.strip()]
+        except ValueError as err:  # argparse names the flag and exits 2
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return parse
 
 
 def cmd_synth(args) -> int:
@@ -88,8 +94,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    params = LbpTopParams(radius=args.radius, points=args.points,
-                          grids=tuple(int(g) for g in args.grids.split(",")))
+    params = LbpTopParams(radius=args.radius, points=args.points, grids=args.grids)
     manifest = load_manifest(args.manifest)
     manifest.validate_counts()
     dataset = ingest_manifest(manifest, params)
@@ -140,13 +145,12 @@ def cmd_run(args) -> int:
 def cmd_grid(args) -> int:
     source, target = _load_datasets(args)
     config = _experiment_config(args)
-    rows = grid_search(source, target, config,
-                       _parse_grid(args.lambda_grid), _parse_grid(args.mu_grid))
+    rows = grid_search(source, target, config, args.lambda_grid, args.mu_grid)
     records = emit_records(rows, args.source, args.target)
     lines = ["  lambda        mu       WAR       UAR"]
     for row in rows:
         flag = "  <- best" if row.best else ""
-        cell, scores = row.result.model.config, row.result.tsrg
+        cell, scores = row.cell, row.result.tsrg
         lines.append(f"{cell.lam:8g}  {cell.mu:8g}  {scores.war:8.4f}  {scores.uar:8.4f}{flag}")
     table = "\n".join(lines) + "\n"
     _write_outputs(args.out_dir, {"grid.jsonl": records, "grid.txt": table})
@@ -183,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--radius", type=int, default=LbpTopParams.radius)
     p.add_argument("--points", type=int, default=LbpTopParams.points)
-    p.add_argument("--grids", default=",".join(map(str, LbpTopParams.grids)))
+    p.add_argument("--grids", type=_list_of(int), default=LbpTopParams.grids)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract)
 
@@ -195,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="grid search over (lambda, mu)", allow_abbrev=False)
     _add_experiment_args(p)
-    p.add_argument("--lambda-grid", required=True, help="comma-separated values")
-    p.add_argument("--mu-grid", required=True, help="comma-separated values")
+    for flag in ("--lambda-grid", "--mu-grid"):
+        p.add_argument(flag, type=_list_of(float), required=True, help="comma-separated values")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("report", help="render tables from a records file", allow_abbrev=False)

@@ -115,15 +115,13 @@ def _read_clip(path: Path) -> VideoClip:
             from PIL import Image
         except ImportError as err:
             raise IngestionError("Pillow required to read image directories") from err
-        frames = []
         # digit runs compare as integers; the name breaks ties such as img01 / img1
         files = sorted((p for p in path.iterdir() if p.is_file()), key=lambda p: (
             [int(s) if s.isdecimal() else s for s in re.split(r"(\d+)", p.name)], p.name))
         if not files:
             raise IngestionError(f"{path}: empty clip directory")
-        for f in files:
-            frames.append(np.asarray(Image.open(f).convert("L"), dtype=np.float64))
-        return VideoClip(np.stack(frames))
+        return VideoClip(np.stack([np.asarray(Image.open(f).convert("L"), dtype=np.float64)
+                                   for f in files]))
     # packed raw file: json header line, then <f8 voxels in t,y,x order
     try:
         with open(path, "rb") as fh:

@@ -31,12 +31,14 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
+    """One adapted run: scores, MMDs, solver trace and model (None in a ``GridRow``)."""
+
     baseline: EvalReport
     tsrg: EvalReport
     mmd_before: float
     mmd_after: float
     trace: SolverTrace
-    model: TsrgModel
+    model: TsrgModel | None
 
     def record(self, source: str = "", target: str = "") -> dict:
         """One line-record for the adapted run and its baseline; lambda and mu are null."""
@@ -115,14 +117,16 @@ def run_experiment(source: LabeledDataset, target: LabeledDataset,
 
 @dataclass(frozen=True)
 class GridRow:
-    result: ExperimentResult         # its model's config holds the cell's lam and mu
+    """A grid cell's solver config, its run without a model, and the best flag."""
+
+    cell: SolverConfig
+    result: ExperimentResult
     best: bool
 
     def record(self, source: str = "", target: str = "") -> dict:
         """The run's record with the cell's lambda and mu and the best flag."""
-        cell = self.result.model.config
         return {**self.result.record(source, target),
-                "lambda": cell.lam, "mu": cell.mu, "best": self.best}
+                "lambda": self.cell.lam, "mu": self.cell.mu, "best": self.best}
 
 
 def grid_search(source: LabeledDataset, target: LabeledDataset,
@@ -130,6 +134,7 @@ def grid_search(source: LabeledDataset, target: LabeledDataset,
                 lambda_grid: list[float], mu_grid: list[float]) -> list[GridRow]:
     """One run per (lambda, mu) pair in grid order, sharing one ``prepare_pair``;
     every cell's config is built first, so a bad value fails before any fit.
+    Each cell's model is dropped once its run returns, so at most one is held.
 
     The best row (highest target UAR, then WAR, earliest on ties) is flagged.
     That uses the target labels: it is the paper's oracle selection protocol,
@@ -137,12 +142,13 @@ def grid_search(source: LabeledDataset, target: LabeledDataset,
     """
     if not lambda_grid or not mu_grid:
         raise ValueError("lambda and mu grids must be non-empty")
-    cells = [replace(config, solver=replace(config.solver, lam=lam, mu=mu))
-             for lam in lambda_grid for mu in mu_grid]
+    cells = [replace(config.solver, lam=lam, mu=mu) for lam in lambda_grid for mu in mu_grid]
     pair = prepare_pair(source, target, config)
-    results = [run_experiment(source, target, cell, pair) for cell in cells]
+    results = [replace(run_experiment(source, target, replace(config, solver=cell), pair),
+                       model=None) for cell in cells]
     best = max(range(len(results)), key=lambda i: (results[i].tsrg.uar, results[i].tsrg.war, -i))
-    return [GridRow(result, i == best) for i, result in enumerate(results)]
+    return [GridRow(cell, result, i == best)
+            for i, (cell, result) in enumerate(zip(cells, results))]
 
 
 def emit_records(rows, source_name: str = "", target_name: str = "") -> str:

@@ -68,22 +68,16 @@ class KernelSpec:
         if self.kind != "gaussian" or self.bandwidth is not None:
             return self
         pooled = np.concatenate([m.data for m in mats], axis=1)
-        sigma = median_pairwise_distance(pooled)
+        # the median Euclidean distance over all distinct column pairs; 1.0 if it is 0
+        # or there is no pair
+        iu = np.triu_indices(pooled.shape[1], k=1)
+        sigma = float(np.median(np.sqrt(_sq_dists(pooled, pooled)[iu]))) if iu[0].size else 1.0
         if sigma <= 0:
             sigma = 1.0
         if not math.isfinite(2.0 * sigma * sigma):  # NaN where _sq_dists meets inf - inf
             raise NonFiniteError(f"the median heuristic gave gaussian bandwidth {sigma:g}, "
                                  "whose 2 * bandwidth**2 is not finite")
         return KernelSpec("gaussian", sigma)
-
-
-def median_pairwise_distance(pooled: np.ndarray) -> float:
-    """Median Euclidean distance over all distinct column pairs."""
-    d2 = _sq_dists(pooled, pooled)
-    iu = np.triu_indices(pooled.shape[1], k=1)
-    if iu[0].size == 0:
-        return 0.0
-    return float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -97,16 +97,12 @@ def uniform_lut(points: int) -> np.ndarray:
 
 
 def _neighbor_offsets(params: LbpTopParams) -> list[tuple[float, float]]:
+    def snap(x: float) -> float:  # the near-integer coordinates of sin/cos roundoff
+        return round(x) if abs(x - round(x)) < 1e-9 else x
+
     r, p = params.radius, params.points
-    angles = 2.0 * np.pi * np.arange(p) / p
-    offsets = []
-    for a in angles:
-        du, dv = -r * float(np.sin(a)), r * float(np.cos(a))
-        # snap the near-integer coordinates produced by sin/cos roundoff
-        du = round(du) if abs(du - round(du)) < 1e-9 else du
-        dv = round(dv) if abs(dv - round(dv)) < 1e-9 else dv
-        offsets.append((du, dv))
-    return offsets
+    return [(snap(-r * float(np.sin(a))), snap(r * float(np.cos(a))))
+            for a in 2.0 * np.pi * np.arange(p) / p]
 
 
 def _bilinear_terms(du: float, dv: float) -> list[tuple[int, int, float]]:
@@ -117,14 +113,10 @@ def _bilinear_terms(du: float, dv: float) -> list[tuple[int, int, float]]:
     """
     fu, fv = int(np.floor(du)), int(np.floor(dv))
     au, av = du - fu, dv - fv
-    terms = []
-    for su, sv, wgt in ((fu, fv, (1 - au) * (1 - av)),
-                        (fu, fv + 1, (1 - au) * av),
-                        (fu + 1, fv, au * (1 - av)),
-                        (fu + 1, fv + 1, au * av)):
-        if wgt > 0.0:
-            terms.append((su, sv, wgt))
-    return terms
+    return [(su, sv, wgt) for su, sv, wgt in ((fu, fv, (1 - au) * (1 - av)),
+                                              (fu, fv + 1, (1 - au) * av),
+                                              (fu + 1, fv, au * (1 - av)),
+                                              (fu + 1, fv + 1, au * av)) if wgt > 0.0]
 
 
 @lru_cache(maxsize=128)

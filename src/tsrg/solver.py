@@ -8,11 +8,9 @@ alternating a ridge-type linear solve for Q, elementwise soft-thresholding
 for P and a running multiplier update.
 The Q-step matrix M has no kappa in it, so a fit eigendecomposes M once and
 each Q-step is V diag(1/(w + kappa/2)) V^T R; with w clipped at 0, kappa > 0
-keeps every shifted eigenvalue positive.  For n anchors and d feature columns
-in R, the product is taken right to left, V((V^T R)/(w + kappa/2)) at 2n^2 d
-flops, when d <= n, and through the n x n operator (V/(w + kappa/2)) V^T, at
-n^3 + n^2 d, when d > n.  kappa changes every iteration, so the operator is
-rebuilt per Q-step.
+keeps every shifted eigenvalue positive.  ``_solve_spd`` takes the product in
+the order that costs fewer flops for R's shape; kappa changes every iteration,
+so only (w, V) is reused across Q-steps.
 After each Q-step, fit makes one fused sweep over row blocks of its n x d
 buffers: the soft-threshold for P, max|P - Q|, the multiplier step on T and
 the next Q-step right-hand side, all in place.  The Q-step has read the right-
@@ -74,6 +72,9 @@ class IterationRecord:
 
 @dataclass
 class SolverTrace:
+    """``converged``: max|P - Q| < 1e-7 within 500 iterations of the fixed kappa
+    schedule, or mu = 0 solved exactly.  It does not certify a minimum of the objective."""
+
     records: list[IterationRecord] = field(default_factory=list)
     converged: bool = False
     iters_run: int = 0
@@ -278,6 +279,10 @@ def save_model(model: TsrgModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> TsrgModel:
     with np.load(path, allow_pickle=False) as z:
+        missing = [k for k in ("version", "p", "anchors", "kernel_kind", "kernel_bandwidth",
+                               "n_s", "n_t", "config_json") if k not in z]
+        if missing:
+            raise ValueError(f"model file lacks {', '.join(missing)}")
         version = int(z["version"])
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version}")

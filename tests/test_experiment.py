@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 import tsrg.cli
 import tsrg.experiment
 import tsrg.metrics
+import tsrg.solver
 from tsrg.data import SynthSpec, synth_generate, write_dataset_csv
 from tsrg.experiment import (ExperimentConfig, emit_records, grid_search,
                              parse_records, render_result, run_experiment)
 from tsrg.kernels import KernelSpec
+from tsrg.lbptop import LbpTopParams
 from tsrg.solver import SolverConfig, save_model
 
 BENCH_OFFSET = np.zeros(20)
@@ -105,19 +108,18 @@ def test_grid_single_cell_equals_run():
     record.update({"lambda": 5.0, "mu": 1e-2, "best": True})
     assert emit_records(rows, "s", "t") == json.dumps(record, sort_keys=True) + "\n"
     # in a 2x2 grid too, each row's record is its cell's standalone run record
-    # with lambda, mu and best filled in
+    # with lambda, mu and best filled in, and that run gives the cell's model
     rows = grid_search(source, target, config, [1.0, 10.0], [1e-3, 1e-2])
     assert sum(row.best for row in rows) == 1
     for row in rows:
-        cell = row.result.model.config
-        direct = run_experiment(source, target,
-                                ExperimentConfig(solver=SolverConfig(lam=cell.lam, mu=cell.mu)))
+        direct = run_experiment(source, target, dataclasses.replace(config, solver=row.cell))
+        assert direct.model.config == row.cell
         record = direct.record("s", "t")
         assert (record["lambda"], record["mu"]) == (None, None) and "best" not in record
-        record.update({"lambda": cell.lam, "mu": cell.mu, "best": row.best})
+        record.update({"lambda": row.cell.lam, "mu": row.cell.mu, "best": row.best})
         assert (json.dumps(row.record("s", "t"), sort_keys=True)
                 == json.dumps(record, sort_keys=True))
-    assert [(r.result.model.config.lam, r.result.model.config.mu) for r in rows] == [
+    assert [(r.cell.lam, r.cell.mu) for r in rows] == [
         (1.0, 1e-3), (1.0, 1e-2), (10.0, 1e-3), (10.0, 1e-2)]
 
 
@@ -129,16 +131,41 @@ def test_grid_rows_are_frozen():
     assert row.best
 
 
-@pytest.mark.parametrize("standardize", [False, True])
-def test_grid_rows_share_one_pair_of_anchors(standardize):
-    # every row's model references the pair prepare_pair built once, not a copy
+def test_grid_rows_hold_no_model():
+    # no output reads a cell's model, so no row keeps one; each row holds its cell's config
     source, target = synth_generate(bench_spec(3))
-    config = ExperimentConfig(standardize=standardize)
-    models = [row.result.model
-              for row in grid_search(source, target, config, [1.0, 10.0], [1e-3, 1e-2])]
-    assert all(np.shares_memory(a.x_s.data, b.x_s.data)
-               and np.shares_memory(a.x_t.data, b.x_t.data) for a in models for b in models)
-    assert not np.shares_memory(models[0].x_s.data, models[0].x_t.data)
+    config = ExperimentConfig(solver=SolverConfig(lam=5.0, mu=0.5))
+    rows = grid_search(source, target, config, [1.0, 10.0, 100.0], [1e-3, 1e-2])
+    assert all(row.result.model is None for row in rows)
+    assert [row.cell for row in rows] == [SolverConfig(lam=lam, mu=mu)
+                                          for lam in (1.0, 10.0, 100.0) for mu in (1e-3, 1e-2)]
+
+
+def test_grid_peaks_at_one_run(monkeypatch):
+    # over a d >> n pair, a 3x2 grid peaks where its largest single run does:
+    # rows that kept their n x d P would add five of them by the last cell
+    monkeypatch.setattr(tsrg.solver, "_MAX_ITERS", 4)
+    source, target = synth_generate(SynthSpec(dim=4000, n_source_per_class=6,
+                                              n_target_per_class=6, seed=0))
+    config, lambdas, mus = ExperimentConfig(), [1.0, 10.0, 100.0], [1e-3, 1e-2]
+    grid_search(source, target, config, lambdas, mus)  # numpy's lazy imports, untraced
+
+    def peak(run):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        run_peak = max(peak(lambda: run_experiment(
+            source, target, dataclasses.replace(config, solver=SolverConfig(lam=lam, mu=mu))))
+            for lam in lambdas for mu in mus)
+        grid_peak = peak(lambda: grid_search(source, target, config, lambdas, mus))
+    finally:
+        tracemalloc.stop()
+    p_bytes = (source.features.n + target.features.n) * 4000 * 8
+    assert grid_peak <= run_peak + p_bytes / 2
 
 
 def test_grid_checks_every_cell_before_the_first_fit(monkeypatch, tmp_path, dataset_files):
@@ -344,7 +371,8 @@ class TestCli:
         (["--radius", "0"], "radius and points must be positive"),
         (["--grids", "1,100000000"], "grid 100000000x100000000 produces blocks smaller "
                                      "than 7 pixels for a 16x16 frame"),
-    ], ids=["24-points", "40-points", "zero-radius", "huge-grid"])
+        (["--grids", ", ,"], "grids must be a non-empty list of positive divisions"),
+    ], ids=["24-points", "40-points", "zero-radius", "huge-grid", "blank-grids"])
     def test_extract_rejects_lbp_settings_without_traceback(self, capsys, tmp_path,
                                                             clip_manifest, flags, message):
         status = tsrg.cli.main(["extract", "--manifest", str(clip_manifest), *flags,
@@ -595,8 +623,6 @@ class TestCli:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("argv, message", [
-        (["grid", "--lambda-grid", "abc", "--mu-grid", "0.001"],
-         "could not convert string to float: 'abc'"),
         (["run", "--lambda", "inf"], "lam must be finite"),
         (["run", "--lambda", "1e308"],
          "Q-step system K_s K_s^T + lam dk dk^T overflows at lam = 1e+308"),
@@ -614,7 +640,7 @@ class TestCli:
          "bandwidth applies to the gaussian kernel only"),
         (["grid", "--lambda-grid", "1", "--mu-grid", "0.001", "--bandwidth", "2"],
          "bandwidth applies to the gaussian kernel only"),
-    ], ids=["grid-bad-lambda-grid", "run-inf-lambda", "run-huge-lambda", "run-inf-bandwidth",
+    ], ids=["run-inf-lambda", "run-huge-lambda", "run-inf-bandwidth",
             "run-huge-bandwidth", "run-tiny-bandwidth", "grid-empty-lambda-grid",
             "grid-late-negative-mu", "run-linear-bandwidth", "grid-default-linear-bandwidth"])
     def test_bad_flag_value_exits_1_without_traceback(self, capsys, tmp_path,
@@ -625,6 +651,38 @@ class TestCli:
         assert status == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["grid", "--lambda-grid", "abc", "--mu-grid", "0.001"],
+         "argument --lambda-grid: could not convert string to float: 'abc'"),
+        (["grid", "--lambda-grid", "1", "--mu-grid", "0.001,,x"],
+         "argument --mu-grid: could not convert string to float: 'x'"),
+        (["extract", "--grids", "1,,2.5"],
+         "argument --grids: invalid literal for int() with base 10: '2.5'"),
+    ], ids=["grid-bad-lambda-grid", "grid-bad-mu-grid", "extract-bad-grids"])
+    def test_bad_list_flag_exits_2_before_any_file_is_read(self, capsys, tmp_path,
+                                                           argv, message):
+        # none of the named files exists, so reading any of them would exit 1
+        rest = {"grid": ["--source", tmp_path / "s.csv", "--target", tmp_path / "t.csv",
+                         "--seed", "0", "--out-dir", tmp_path / "o"],
+                "extract": ["--manifest", tmp_path / "m.json", "--out", tmp_path / "f.csv"]}
+        with pytest.raises(SystemExit) as exit_:
+            tsrg.cli.main([*argv, *map(str, rest[argv[0]])])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(f" error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_list_flags_skip_blank_entries(self):
+        parser = tsrg.cli.build_parser()
+        args = parser.parse_args(["grid", "--source", "s.csv", "--target", "t.csv",
+                                  "--lambda-grid", "1,,10,", "--mu-grid", " ,0.001",
+                                  "--seed", "0", "--out-dir", "o"])
+        assert (args.lambda_grid, args.mu_grid) == ([1.0, 10.0], [0.001])
+        args = parser.parse_args(["extract", "--manifest", "m.json", "--grids", "1,,2",
+                                  "--out", "f.csv"])
+        assert args.grids == [1, 2]
+        default = parser.parse_args(["extract", "--manifest", "m.json", "--out", "f.csv"])
+        assert default.grids == LbpTopParams.grids
 
     @pytest.mark.parametrize("command, required", [
         ("run", []),

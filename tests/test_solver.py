@@ -433,6 +433,24 @@ class TestSerialization:
         with pytest.raises(TsrgError, match=f"^n_s, n_t = {n_s}, {n_t} do not split 9 anchors$"):
             load_model(tmp_path / "m.npz")
 
+    @pytest.mark.parametrize("dropped", ["version", "p", "anchors", "kernel_kind",
+                                         "kernel_bandwidth", "n_s", "n_t", "config_json"])
+    def test_names_a_missing_array(self, tmp_path, dropped):
+        x_s, x_t = random_pair(30)
+        model, _ = fit(x_s, x_t, LINEAR, SolverConfig(lam=1.0, mu=0.01))
+        save_model(model, tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as z:
+            fields = {k: z[k] for k in z.files if k != dropped}
+        np.savez(tmp_path / "m.npz", **fields)
+        with pytest.raises(ValueError, match=f"^model file lacks {dropped}$"):
+            load_model(tmp_path / "m.npz")
+
+    def test_names_every_missing_array_before_reading_any(self, tmp_path):
+        np.savez(tmp_path / "m.npz", version=np.int64(2))
+        with pytest.raises(ValueError, match="^model file lacks p, anchors, kernel_kind, "
+                                             "kernel_bandwidth, n_s, n_t, config_json$"):
+            load_model(tmp_path / "m.npz")
+
     @staticmethod
     def write(path, model, config_json):
         """An .npz in the version-1 layout with the given config_json."""
