@@ -14,8 +14,8 @@ from typing import Callable
 from .data import (SynthSpec, ingest_csv, ingest_manifest, load_manifest,
                    synth_generate, write_dataset_csv)
 from .errors import IngestionError, SpecError, TsrgError
-from .experiment import (ExperimentConfig, emit_records, grid_search, read_reports,
-                         render_result, run_experiment)
+from .experiment import (ExperimentConfig, emit_records, grid_cells, grid_search,
+                         read_reports, render_result, run_experiment)
 from .kernels import KernelSpec
 from .lbptop import LbpTopParams
 from .metrics import render_text
@@ -57,7 +57,7 @@ def _load_datasets(args):
 
 def _experiment_config(args, **penalties: float) -> ExperimentConfig:
     """The run's configuration; ``penalties`` sets lam and mu, which a grid
-    leaves at their defaults for ``grid_search`` to replace per cell."""
+    leaves at their defaults, since ``grid_search`` does not read them."""
     return ExperimentConfig(
         kernel=KernelSpec(args.kernel, args.bandwidth),
         solver=SolverConfig(**penalties),
@@ -132,8 +132,8 @@ def _write_outputs(out_dir: str, texts: dict[str, str], model=None) -> None:
 
 
 def cmd_run(args) -> int:
-    source, target = _load_datasets(args)
     config = _experiment_config(args, lam=args.lam, mu=args.mu)
+    source, target = _load_datasets(args)
     result = run_experiment(source, target, config)
     records = emit_records([result], args.source, args.target)
     text = render_result(result, args.source, args.target)
@@ -143,8 +143,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    source, target = _load_datasets(args)
     config = _experiment_config(args)
+    grid_cells(args.lambda_grid, args.mu_grid)  # every flag is checked before a CSV is read
+    source, target = _load_datasets(args)
     rows = grid_search(source, target, config, args.lambda_grid, args.mu_grid)
     records = emit_records(rows, args.source, args.target)
     lines = ["  lambda        mu       WAR       UAR"]

@@ -79,8 +79,7 @@ def prepare_pair(source: LabeledDataset, target: LabeledDataset,
     base_model = clf.train(
         LabeledDataset(x_s, source.labels, source.class_names), config.penalty_c
     )
-    baseline = evaluate(target.labels, clf.predict(base_model, x_t),
-                        source.num_classes, source.class_names)
+    baseline = evaluate(target.labels, clf.predict(base_model, x_t), source.class_names)
     return x_s, x_t, spec, base_model, baseline, mmd(x_s, x_t, spec)
 
 
@@ -102,8 +101,7 @@ def run_experiment(source: LabeledDataset, target: LabeledDataset,
         )
     else:
         adapted_model = base_model
-    adapted = evaluate(target.labels, clf.predict(adapted_model, regen_t),
-                       source.num_classes, source.class_names)
+    adapted = evaluate(target.labels, clf.predict(adapted_model, regen_t), source.class_names)
 
     return ExperimentResult(
         baseline=baseline,
@@ -129,20 +127,25 @@ class GridRow:
                 "lambda": self.cell.lam, "mu": self.cell.mu, "best": self.best}
 
 
+def grid_cells(lambda_grid: list[float], mu_grid: list[float]) -> list[SolverConfig]:
+    """One ``SolverConfig(lam, mu)`` per cell, lambda-major, each checked as it is built."""
+    if not lambda_grid or not mu_grid:
+        raise ValueError("lambda and mu grids must be non-empty")
+    return [SolverConfig(lam, mu) for lam in lambda_grid for mu in mu_grid]
+
+
 def grid_search(source: LabeledDataset, target: LabeledDataset,
                 config: ExperimentConfig,
                 lambda_grid: list[float], mu_grid: list[float]) -> list[GridRow]:
-    """One run per (lambda, mu) pair in grid order, sharing one ``prepare_pair``;
-    every cell's config is built first, so a bad value fails before any fit.
+    """One run per ``grid_cells`` cell, sharing one ``prepare_pair``; every cell is
+    built first, so a bad value fails before any fit, and ``config.solver`` is not read.
     Each cell's model is dropped once its run returns, so at most one is held.
 
     The best row (highest target UAR, then WAR, earliest on ties) is flagged.
     That uses the target labels: it is the paper's oracle selection protocol,
     and the flag reports the best achievable cell, not a label-free choice.
     """
-    if not lambda_grid or not mu_grid:
-        raise ValueError("lambda and mu grids must be non-empty")
-    cells = [replace(config.solver, lam=lam, mu=mu) for lam in lambda_grid for mu in mu_grid]
+    cells = grid_cells(lambda_grid, mu_grid)
     pair = prepare_pair(source, target, config)
     results = [replace(run_experiment(source, target, replace(config, solver=cell), pair),
                        model=None) for cell in cells]

@@ -120,17 +120,13 @@ class AugmentedKernels:
 
 
 def build_augmented(x_s: FeatureMatrix, x_t: FeatureMatrix, spec: KernelSpec) -> AugmentedKernels:
-    """Assemble the augmented kernel blocks for a source/target pair.
-
-    The pooled Gram is computed once and sliced, so the cross blocks are
-    exact transposes of each other.
-    """
+    """The augmented kernel blocks of a pair under a resolved ``spec``.  The pooled Gram
+    multiplies one array by its own transpose, which numpy returns exactly symmetric,
+    so the cross blocks it is sliced into are exact transposes (a test pins this)."""
     if x_s.d != x_t.d:
         raise DimensionError(f"source/target dimensions differ: {x_s.d} vs {x_t.d}")
-    spec = spec.resolved(x_s, x_t)
     pooled = FeatureMatrix(np.concatenate([x_s.data, x_t.data], axis=1))
     full = gram_matrix(pooled, pooled, spec)
-    full = 0.5 * (full + full.T)  # enforce exact symmetry against fp noise
     return AugmentedKernels(k_s=full[:, : x_s.n], k_t=full[:, x_s.n :])
 
 

@@ -19,6 +19,15 @@ class EvalReport:
     confusion: np.ndarray            # k x k int64 counts, not all zero; rows = true, cols = predicted
     class_names: tuple[str, ...]
 
+    def __post_init__(self):
+        conf, k = np.asarray(self.confusion, dtype=np.int64), len(self.class_names)
+        if conf.shape != (k, k):
+            raise DimensionError(f"confusion matrix has shape {conf.shape}, not {k} x {k}")
+        if int(conf.sum()) == 0:
+            raise ValueError("confusion matrix is empty")
+        object.__setattr__(self, "confusion", conf)
+        object.__setattr__(self, "class_names", tuple(self.class_names))
+
     @property
     def war(self) -> float:
         return float(self.confusion.trace() / int(self.confusion.sum()))
@@ -62,7 +71,7 @@ class EvalReport:
                         and all(type(c) is int and c >= 0 for c in row) for row in conf)
                 and sum(map(sum, conf)) < 2 ** 63):  # summed as int64; type() refuses bool
             raise ValueError(f"confusion must be a {k} x {k} list of counts")
-        report = report_from_confusion(conf, tuple(names))
+        report = EvalReport(conf, names)
         derived = report.to_dict()
         keys = ("war", "uar", "absent_classes")  # compared as JSON text, so true is not 1.0
         if json.dumps([d[k] for k in keys]) != json.dumps([derived[k] for k in keys]):
@@ -91,20 +100,10 @@ def confusion_matrix(true_labels: np.ndarray, predicted: np.ndarray, k: int) -> 
     return conf
 
 
-def report_from_confusion(conf: np.ndarray,
-                          class_names: tuple[str, ...] | None = None) -> EvalReport:
-    conf = np.asarray(conf, dtype=np.int64)
-    if class_names is None:
-        class_names = tuple(str(i) for i in range(conf.shape[0]))
-    if int(conf.sum()) == 0:
-        raise ValueError("confusion matrix is empty")
-    return EvalReport(confusion=conf, class_names=tuple(class_names))
-
-
-def evaluate(true_labels: np.ndarray, predicted: np.ndarray, k: int,
-             class_names: tuple[str, ...] | None = None) -> EvalReport:
-    """Confusion matrix plus WAR/UAR for one prediction run."""
-    return report_from_confusion(confusion_matrix(true_labels, predicted, k), class_names)
+def evaluate(true_labels: np.ndarray, predicted: np.ndarray,
+             class_names: tuple[str, ...]) -> EvalReport:
+    """Confusion matrix plus WAR/UAR for one prediction run over the named classes."""
+    return EvalReport(confusion_matrix(true_labels, predicted, len(class_names)), class_names)
 
 
 def render_text(report: EvalReport, title: str = "") -> str:

@@ -12,7 +12,7 @@ from tsrg.data import DatasetManifest, ManifestEntry, SynthSpec, \
 from tsrg.experiment import ExperimentConfig, grid_search
 from tsrg.kernels import FeatureMatrix, KernelSpec, build_augmented, mmd
 from tsrg.lbptop import LbpTopParams, VideoClip, extract, uniform_lut
-from tsrg.metrics import report_from_confusion
+from tsrg.metrics import EvalReport
 from tsrg.solver import SolverConfig, fit, regenerate, update_p
 
 from oracles import fg_residual, kernel_eval, objective, update_q
@@ -207,9 +207,9 @@ def test_criterion_8_synthetic_benchmark():
 
 
 def test_criterion_9_metric_hand_cases():
-    r = report_from_confusion(np.array([[8, 2], [3, 7]]))
+    r = EvalReport(np.array([[8, 2], [3, 7]]), ("0", "1"))
     assert abs(r.war - 0.75) < 1e-12 and abs(r.uar - 0.75) < 1e-12
-    r = report_from_confusion(np.array([[90, 10], [5, 5]]))
+    r = EvalReport(np.array([[90, 10], [5, 5]]), ("0", "1"))
     assert abs(r.war - 95.0 / 110.0) < 1e-12
     assert abs(r.uar - 0.70) < 1e-12
     assert r.war > r.uar

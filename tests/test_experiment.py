@@ -653,6 +653,29 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, message", [
+        (["grid", "--lambda-grid", ",", "--mu-grid", "0.1"],
+         "lambda and mu grids must be non-empty"),
+        (["grid", "--lambda-grid", "1,-1", "--mu-grid", "0.1"],
+         "lam and mu must be nonnegative"),
+        (["run", "--kernel", "linear", "--bandwidth", "1"],
+         "bandwidth applies to the gaussian kernel only"),
+        (["run", "--lambda", "-1"], "lam and mu must be nonnegative"),
+        (["run", "--kernel", "gaussian", "--bandwidth", "0"], "gaussian bandwidth must be > 0"),
+    ], ids=["grid-empty-lambda-grid", "grid-negative-lambda", "run-linear-bandwidth",
+            "run-negative-lambda", "run-zero-bandwidth"])
+    def test_bad_flag_value_exits_1_before_any_file_is_read(self, monkeypatch, capsys,
+                                                            tmp_path, argv, message):
+        def no_read(*args, **kwargs):
+            pytest.fail("a CSV was read before the flags were checked")
+        monkeypatch.setattr(tsrg.cli, "ingest_csv", no_read)
+        status = tsrg.cli.main([*argv, "--source", str(tmp_path / "missing.csv"),
+                                "--target", str(tmp_path / "missing.csv"),
+                                "--seed", "0", "--out-dir", str(tmp_path / "o")])
+        assert status == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
         (["grid", "--lambda-grid", "abc", "--mu-grid", "0.001"],
          "argument --lambda-grid: could not convert string to float: 'abc'"),
         (["grid", "--lambda-grid", "1", "--mu-grid", "0.001,,x"],

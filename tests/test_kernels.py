@@ -128,6 +128,24 @@ class TestBuildAugmented:
         eigs = np.linalg.eigvalsh(full)
         assert eigs.min() >= -1e-8 * eigs.max()
 
+    @pytest.mark.parametrize("kind", ["linear", "gaussian"])
+    @pytest.mark.parametrize("d, n_s, n_t", [(20, 60, 60), (3717, 148, 164)],
+                             ids=["desk", "lbp"])
+    def test_cross_blocks_are_exact_transposes(self, kind, d, n_s, n_t):
+        # the pooled Gram is one array times its own transpose, symmetric bit for bit
+        rng = np.random.default_rng(9)
+        x_s, x_t = fm(rng.random((d, n_s))), fm(rng.random((d, n_t)) + 0.1)
+        ak = build_augmented(x_s, x_t, KernelSpec(kind).resolved(x_s, x_t))
+        assert np.array_equal(ak.k_s[n_s:], ak.k_t[:n_s].T)
+        full = np.hstack([ak.k_s, ak.k_t])
+        assert np.array_equal(full, full.T)
+
+    def test_unresolved_bandwidth_rejected(self):
+        x = fm(np.eye(3))
+        with pytest.raises(ValueError, match=r"^gaussian bandwidth unresolved; "
+                                             r"call spec\.resolved\(\.\.\.\) first$"):
+            build_augmented(x, x, KernelSpec("gaussian"))
+
     def test_bad_row_count_rejected(self):
         with pytest.raises(DimensionError):
             AugmentedKernels(k_s=np.ones((3, 2)), k_t=np.ones((3, 2)))
