@@ -94,7 +94,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    params = LbpTopParams(radius=args.radius, points=args.points, grids=args.grids)
+    params = LbpTopParams(grids=args.grids)
     manifest = load_manifest(args.manifest)
     manifest.validate_counts()
     dataset = ingest_manifest(manifest, params)
@@ -186,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract LBP-TOP features from clips", allow_abbrev=False)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--radius", type=int, default=LbpTopParams.radius)
-    p.add_argument("--points", type=int, default=LbpTopParams.points)
     p.add_argument("--grids", type=_list_of(int), default=LbpTopParams.grids)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract)

@@ -203,12 +203,11 @@ def ingest_manifest(manifest: DatasetManifest,
     """
     if not manifest.entries:
         raise EmptyDatasetError(f"manifest {manifest.name!r} has no entries")
-    vectors = []
-    for entry in manifest.entries:
-        path = Path(entry.path)
+    paths = [Path(e.path) for e in manifest.entries]
+    for path in paths:  # every clip is checked before the first one is read
         if not path.exists():
             raise IngestionError(f"manifest {manifest.name!r}: missing file {path}")
-        vectors.append(extract(_read_clip(path), params))
+    vectors = [extract(_read_clip(path), params) for path in paths]
     return dataset_from_arrays(np.stack(vectors, axis=1), [e.label for e in manifest.entries])
 
 

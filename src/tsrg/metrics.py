@@ -85,25 +85,22 @@ class EvalReport:
                 and self.class_names == other.class_names)
 
 
-def confusion_matrix(true_labels: np.ndarray, predicted: np.ndarray, k: int) -> np.ndarray:
+def evaluate(true_labels: np.ndarray, predicted: np.ndarray,
+             class_names: tuple[str, ...]) -> EvalReport:
+    """Confusion matrix plus WAR/UAR for one prediction run over the named classes."""
     true_labels = np.asarray(true_labels, dtype=np.int64)
     predicted = np.asarray(predicted, dtype=np.int64)
     if true_labels.shape != predicted.shape:
         raise DimensionError(
             f"label vectors differ in length: {true_labels.shape} vs {predicted.shape}"
         )
+    k = len(class_names)
     if true_labels.size and (true_labels.min() < 0 or true_labels.max() >= k
                              or predicted.min() < 0 or predicted.max() >= k):
         raise ValueError(f"labels must lie in 0..{k - 1}")
     conf = np.zeros((k, k), dtype=np.int64)
     np.add.at(conf, (true_labels, predicted), 1)
-    return conf
-
-
-def evaluate(true_labels: np.ndarray, predicted: np.ndarray,
-             class_names: tuple[str, ...]) -> EvalReport:
-    """Confusion matrix plus WAR/UAR for one prediction run over the named classes."""
-    return EvalReport(confusion_matrix(true_labels, predicted, len(class_names)), class_names)
+    return EvalReport(conf, class_names)
 
 
 def render_text(report: EvalReport, title: str = "") -> str:

@@ -96,6 +96,8 @@ class TsrgModel:
         shape = (self.x_s.n + self.x_t.n, self.x_s.d)  # a row per anchor, a column per dimension
         if self.p.shape != shape:
             raise DimensionError(f"P has shape {self.p.shape}, not {shape}")
+        if self.kernel.kind == "gaussian" and self.kernel.bandwidth is None:  # fit resolves it
+            raise ValueError("a model's gaussian kernel must carry its bandwidth")
 
     @property
     def anchors(self) -> FeatureMatrix:

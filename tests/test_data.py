@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tsrg.cli
+import tsrg.data
 from tsrg.data import (DatasetManifest, ManifestEntry, SynthSpec, _read_clip,
                        apply_label_map, ingest_csv, ingest_manifest,
                        load_manifest, synth_generate, write_dataset_csv)
@@ -213,6 +214,18 @@ class TestManifest:
         manifest = make_manifest(tmp_path, {"a": 2}, write_files=False)
         with pytest.raises(IngestionError, match="missing file"):
             ingest_manifest(manifest)
+
+    def test_every_file_checked_before_the_first_clip_is_read(self, monkeypatch, tmp_path):
+        def no_extract(*args):
+            pytest.fail("a clip was read before every path was checked")
+        monkeypatch.setattr(tsrg.data, "extract", no_extract)
+        present = make_manifest(tmp_path, {"a": 2, "b": 1})
+        missing = tmp_path / "missing.raw"
+        manifest = DatasetManifest(name="clips", entries=(
+            *present.entries, ManifestEntry(path=str(missing), label="b")))
+        with pytest.raises(IngestionError) as err:
+            ingest_manifest(manifest, SMALL_LBP)
+        assert str(err.value) == f"manifest 'clips': missing file {missing}"
 
     def test_count_validation_passes_after_remap(self, tmp_path):
         counts = {"Happiness": 32, "Disgust": 60, "Repression": 31, "Surprise": 25}

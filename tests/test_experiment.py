@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tsrg.cli
+import tsrg.data
 import tsrg.experiment
 import tsrg.metrics
 import tsrg.solver
@@ -366,13 +367,10 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["clip.raw", "manifest.json"]
 
     @pytest.mark.parametrize("flags, message", [
-        (["--points", "24"], "points must be at most 16"),
-        (["--points", "40"], "points must be at most 16"),
-        (["--radius", "0"], "radius and points must be positive"),
         (["--grids", "1,100000000"], "grid 100000000x100000000 produces blocks smaller "
                                      "than 7 pixels for a 16x16 frame"),
         (["--grids", ", ,"], "grids must be a non-empty list of positive divisions"),
-    ], ids=["24-points", "40-points", "zero-radius", "huge-grid", "blank-grids"])
+    ], ids=["huge-grid", "blank-grids"])
     def test_extract_rejects_lbp_settings_without_traceback(self, capsys, tmp_path,
                                                             clip_manifest, flags, message):
         status = tsrg.cli.main(["extract", "--manifest", str(clip_manifest), *flags,
@@ -380,6 +378,33 @@ class TestCli:
         assert status == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--radius", "--points"])
+    def test_extract_has_no_lbp_operator_flags(self, capsys, tmp_path, clip_manifest, flag):
+        # the command line extracts R=3, P=8; other operators go through LbpTopParams
+        value = str(getattr(LbpTopParams, flag[2:]))
+        with pytest.raises(SystemExit) as exit_:
+            tsrg.cli.main(["extract", "--manifest", str(clip_manifest), flag, value,
+                           "--out", str(tmp_path / "f.csv")])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f" error: unrecognized arguments: {flag} {value}\n")
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_extract_checks_every_clip_before_reading_one(self, monkeypatch, capsys, tmp_path,
+                                                          clip_manifest):
+        def no_extract(*args):
+            pytest.fail("a clip was read before every path was checked")
+        monkeypatch.setattr(tsrg.data, "extract", no_extract)
+        monkeypatch.chdir(tmp_path)  # where missing.raw is looked for
+        raw = json.loads(clip_manifest.read_text())
+        raw["entries"].append({"path": "missing.raw", "label": "a"})
+        clip_manifest.write_text(json.dumps({"name": "clips", **raw}))
+        status = tsrg.cli.main(["extract", "--manifest", str(clip_manifest),
+                                "--out", str(tmp_path / "f.csv")])
+        assert status == 1
+        assert capsys.readouterr().err == "error: manifest 'clips': missing file missing.raw\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clip.raw", "manifest.json"]
 
     def test_extract_command(self, run_cli, tmp_path):
         from oracles import write_clip

@@ -55,8 +55,17 @@ def test_absent_class_excluded_from_uar():
 
 
 def test_length_mismatch():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError) as err:
         evaluate(np.array([0, 1]), np.array([0]), names(2))
+    assert str(err.value) == "label vectors differ in length: (2,) vs (1,)"
+
+
+@pytest.mark.parametrize("true, predicted", [([0, 2], [0, 1]), ([0, 1], [-1, 1])],
+                         ids=["true-above-k", "predicted-negative"])
+def test_labels_outside_the_classes_rejected(true, predicted):
+    with pytest.raises(ValueError) as err:
+        evaluate(np.array(true), np.array(predicted), names(2))
+    assert str(err.value) == "labels must lie in 0..1"
 
 
 @settings(max_examples=50, deadline=None)

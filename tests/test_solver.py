@@ -266,6 +266,13 @@ class TestFit:
             tsrg.solver.TsrgModel(np.zeros(p_shape), x_s, FeatureMatrix(np.ones((d_t, 4))),
                                   LINEAR, SolverConfig())
 
+    def test_model_rejects_a_gaussian_kernel_without_bandwidth(self):
+        x_s, x_t = random_pair(12)
+        with pytest.raises(ValueError) as err:
+            tsrg.solver.TsrgModel(np.zeros((x_s.n + x_t.n, x_s.d)), x_s, x_t,
+                                  KernelSpec("gaussian"), SolverConfig())
+        assert str(err.value) == "a model's gaussian kernel must carry its bandwidth"
+
     def test_matches_normal_equations_oracle(self):
         for seed in range(5):
             x_s, x_t = random_pair(seed, d=3, n_s=6, n_t=5)
@@ -458,6 +465,14 @@ class TestSerialization:
                  kernel_kind=np.str_(model.kernel.kind), kernel_bandwidth=np.float64(np.nan),
                  n_s=np.int64(model.x_s.n), n_t=np.int64(model.x_t.n),
                  config_json=np.str_(config_json))
+
+    def test_rejects_a_gaussian_model_without_bandwidth(self, tmp_path):
+        x_s, x_t = random_pair(31)
+        model, _ = fit(x_s, x_t, KernelSpec("gaussian"), SolverConfig(lam=1.0, mu=0.01))
+        self.write(tmp_path / "m.npz", model, json.dumps({"lam": 1.0, "mu": 0.01}))
+        with pytest.raises(ValueError) as err:
+            load_model(tmp_path / "m.npz")
+        assert str(err.value) == "a model's gaussian kernel must carry its bandwidth"
 
     def test_loads_a_config_that_also_holds_the_schedule(self, tmp_path):
         # files written while SolverConfig held the IALM schedule carry seven keys
