@@ -29,7 +29,6 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
                    default=ExperimentConfig.kernel.kind)
     p.add_argument("--bandwidth", type=float, default=None,
                    help="gaussian bandwidth (default: median heuristic)")
-    p.add_argument("--penalty-c", type=float, default=ExperimentConfig.penalty_c)
     p.add_argument("--standardize", action="store_true",
                    help="per-dimension standardization fitted on source")
     p.add_argument("--train-on-regenerated", action="store_true",
@@ -61,7 +60,6 @@ def _experiment_config(args, **penalties: float) -> ExperimentConfig:
     return ExperimentConfig(
         kernel=KernelSpec(args.kernel, args.bandwidth),
         solver=SolverConfig(**penalties),
-        penalty_c=args.penalty_c,
         standardize=args.standardize,
         train_on_regenerated=args.train_on_regenerated,
     )
@@ -78,6 +76,8 @@ def _list_of(kind: Callable[[str], object]) -> Callable[[str], list]:
 
 
 def cmd_synth(args) -> int:
+    if Path(args.out_source).resolve() == Path(args.out_target).resolve():
+        raise ValueError("--out-source and --out-target name the same file")
     raw = _read_json(args.spec)
     if not isinstance(raw, dict):
         raise SpecError(f"{args.spec}: the spec must be a JSON object")

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import LabeledDataset
-from .errors import (EmptyDatasetError, IngestionError, LabelMapError, SpecError,
-                     UnmappedLabelError)
+from .errors import (EmptyDatasetError, IngestionError, LabelMapError, NonFiniteError,
+                     SpecError, TsrgError, UnmappedLabelError)
 from .kernels import FeatureMatrix
 from .lbptop import LbpTopParams, VideoClip, extract
 
@@ -180,6 +180,7 @@ def ingest_csv(path: str | Path, label_map: dict[str, str | None] | None = None,
     if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")
     features = np.array(rows).T  # an F-ordered d x n view; the peak is about 2x the matrix
+    kept = range(len(labels))
     if label_map is not None:
         try:
             labels, kept = apply_label_map(labels, label_map)
@@ -190,6 +191,9 @@ def ingest_csv(path: str | Path, label_map: dict[str, str | None] | None = None,
         raise EmptyDatasetError(f"{path}: no samples after label mapping")
     try:
         return dataset_from_arrays(features, labels, class_names)
+    except NonFiniteError as err:  # name the first kept sample that holds the value
+        line = kept[int(np.flatnonzero(~np.isfinite(features).all(axis=0))[0])] + 2
+        raise NonFiniteError(f"{path}:{line}: {err}") from err
     except IngestionError as err:  # a label outside the given class_names
         raise IngestionError(f"{path}: {err}") from err
 
@@ -207,7 +211,14 @@ def ingest_manifest(manifest: DatasetManifest,
     for path in paths:  # every clip is checked before the first one is read
         if not path.exists():
             raise IngestionError(f"manifest {manifest.name!r}: missing file {path}")
-    vectors = [extract(_read_clip(path), params) for path in paths]
+    vectors = []
+    for path in paths:
+        try:
+            vectors.append(extract(_read_clip(path), params))
+        except IngestionError:  # _read_clip's own messages name the clip
+            raise
+        except TsrgError as err:
+            raise type(err)(f"{path}: {err}") from err
     return dataset_from_arrays(np.stack(vectors, axis=1), [e.label for e in manifest.entries])
 
 

@@ -24,7 +24,6 @@ from .solver import SolverConfig, SolverTrace, TsrgModel, fit, regenerate
 class ExperimentConfig:
     kernel: KernelSpec = KernelSpec("linear")
     solver: SolverConfig = SolverConfig()
-    penalty_c: float = 1.0
     standardize: bool = False           # per-dimension, fitted on source only
     train_on_regenerated: bool = False  # train on G(X_s) instead of raw X_s
 
@@ -76,9 +75,7 @@ def prepare_pair(source: LabeledDataset, target: LabeledDataset,
         x_s, x_t = (FeatureMatrix((x.data - mean) / std) for x in (x_s, x_t))
 
     spec = config.kernel.resolved(x_s, x_t)
-    base_model = clf.train(
-        LabeledDataset(x_s, source.labels, source.class_names), config.penalty_c
-    )
+    base_model = clf.train(LabeledDataset(x_s, source.labels, source.class_names))
     baseline = evaluate(target.labels, clf.predict(base_model, x_t), source.class_names)
     return x_s, x_t, spec, base_model, baseline, mmd(x_s, x_t, spec)
 
@@ -95,10 +92,7 @@ def run_experiment(source: LabeledDataset, target: LabeledDataset,
     regen_t = regenerate(model, x_t)
     if config.train_on_regenerated:
         regen_s = regenerate(model, x_s)
-        adapted_model = clf.train(
-            LabeledDataset(regen_s, source.labels, source.class_names),
-            config.penalty_c,
-        )
+        adapted_model = clf.train(LabeledDataset(regen_s, source.labels, source.class_names))
     else:
         adapted_model = base_model
     adapted = evaluate(target.labels, clf.predict(adapted_model, regen_t), source.class_names)

@@ -63,11 +63,12 @@ class KernelSpec:
             if not 0 < 2.0 * self.bandwidth * self.bandwidth < np.inf:  # gram_matrix's divisor
                 raise ValueError("gaussian bandwidth must keep 2 * bandwidth**2 positive and finite")
 
-    def resolved(self, *mats: FeatureMatrix) -> "KernelSpec":
-        """Return a spec with a concrete bandwidth (median heuristic if unset)."""
+    def resolved(self, x_s: FeatureMatrix, x_t: FeatureMatrix) -> "KernelSpec":
+        """Return a spec with a concrete bandwidth: if unset, the median heuristic
+        over the pooled columns of x_s and x_t."""
         if self.kind != "gaussian" or self.bandwidth is not None:
             return self
-        pooled = np.concatenate([m.data for m in mats], axis=1)
+        pooled = np.concatenate([x_s.data, x_t.data], axis=1)
         # the median Euclidean distance over all distinct column pairs; 1.0 if it is 0
         # or there is no pair
         iu = np.triu_indices(pooled.shape[1], k=1)

@@ -114,6 +114,24 @@ class TestCsvIngestion:
         with pytest.raises(NonFiniteError, match="feature matrix contains NaN/Inf"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("text, label_map, line", [
+        ("f0,f1,label\n1,2,x\n3,nan,y\n4,inf,x\n", None, 3),
+        ("f0,f1,label\n1,2,x\n1e400,2,y\n", None, 3),
+        ("f0,f1,label\n1,-inf,drop\n3,4,x\n5,nan,y\n", {"x": "x", "y": "y", "drop": None}, 4),
+    ], ids=["first-of-two", "overflow", "after-dropped-row"])
+    def test_non_finite_cell_names_its_line(self, tmp_path, text, label_map, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(NonFiniteError) as err:
+            ingest_csv(path, label_map)
+        assert str(err.value) == f"{path}:{line}: feature matrix contains NaN/Inf"
+
+    def test_non_finite_cell_in_a_dropped_row_loads(self, tmp_path):
+        path = tmp_path / "dropped.csv"
+        path.write_text("f0,f1,label\n1,nan,drop\n3,4,x\n")
+        data = ingest_csv(path, {"x": "x", "drop": None})
+        assert data.features.data.tolist() == [[3.0], [4.0]]
+
     def test_peak_memory_is_near_twice_the_matrix(self, tmp_path):
         from tsrg.classifier import LabeledDataset
         rng = np.random.default_rng(0)

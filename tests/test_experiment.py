@@ -367,8 +367,8 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["clip.raw", "manifest.json"]
 
     @pytest.mark.parametrize("flags, message", [
-        (["--grids", "1,100000000"], "grid 100000000x100000000 produces blocks smaller "
-                                     "than 7 pixels for a 16x16 frame"),
+        (["--grids", "1,100000000"], "{clip}: grid 100000000x100000000 produces blocks "
+                                     "smaller than 7 pixels for a 16x16 frame"),
         (["--grids", ", ,"], "grids must be a non-empty list of positive divisions"),
     ], ids=["huge-grid", "blank-grids"])
     def test_extract_rejects_lbp_settings_without_traceback(self, capsys, tmp_path,
@@ -376,7 +376,30 @@ class TestCli:
         status = tsrg.cli.main(["extract", "--manifest", str(clip_manifest), *flags,
                                 "--out", str(tmp_path / "f.csv")])
         assert status == 1
+        message = message.format(clip=tmp_path / "clip.raw")
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("frames, pixel, message", [
+        (4, 0.0, "clip 4x16x16 smaller than 7 along some axis for radius 3"),
+        (8, np.nan, "clip contains non-finite pixels"),
+    ], ids=["too-small", "nan-pixel"])
+    def test_extract_names_the_clip_at_fault(self, capsys, tmp_path, frames, pixel, message):
+        from oracles import write_clip
+        entries = []
+        for i in range(2):  # the second clip is at fault
+            volume = np.random.default_rng(i).integers(0, 256, size=(8, 16, 16)).astype(float)
+            if i == 1:
+                volume = volume[:frames]
+                volume[0, 0, 0] = pixel
+            write_clip(tmp_path / f"clip{i}.raw", volume)
+            entries.append({"path": str(tmp_path / f"clip{i}.raw"), "label": "a"})
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"entries": entries}))
+        status = tsrg.cli.main(["extract", "--manifest", str(manifest), "--grids", "1",
+                                "--out", str(tmp_path / "f.csv")])
+        assert status == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / 'clip1.raw'}: {message}\n"
         assert not (tmp_path / "f.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--radius", "--points"])
@@ -737,9 +760,10 @@ class TestCli:
         ("grid", ["--lambda-grid", "1", "--mu-grid", "0.001"]),
     ], ids=["run", "grid"])
     @pytest.mark.parametrize("flag", ["--kappa0", "--rho", "--kappa-max", "--epsilon",
-                                      "--max-iters"])
+                                      "--max-iters", "--penalty-c"])
     def test_solver_schedule_flags_are_gone(self, capsys, command, required, flag):
-        # the IALM schedule is fixed in the solver, not a command-line setting
+        # the IALM schedule is fixed in the solver and the SVM's C is 1: neither is a
+        # command-line setting
         parser = tsrg.cli.build_parser()
         with pytest.raises(SystemExit) as help_exit:
             parser.parse_args([command, "--help"])
@@ -841,6 +865,21 @@ class TestCli:
         assert status == 1
         assert err.startswith("error: ") and str(out / "missing" / "t.csv") in err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("target", ["./same.csv", "sub/../same.csv"],
+                             ids=["dot", "dot-dot"])
+    def test_synth_rejects_one_file_for_both_outputs(self, monkeypatch, capsys, tmp_path,
+                                                     target):
+        monkeypatch.chdir(tmp_path)
+        Path("spec.json").write_text(json.dumps({"classes": 2, "dim": 3, "seed": 0}))
+        Path("sub").mkdir()
+        status = tsrg.cli.main(["synth", "--spec", "spec.json", "--out-source", "same.csv",
+                                "--out-target", target])
+        assert status == 1
+        assert capsys.readouterr().err == ("error: --out-source and --out-target name "
+                                           "the same file\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json", "sub"]
+        assert list(Path("sub").iterdir()) == []
 
     def test_synth_writes_neither_csv_when_the_second_write_fails(self, monkeypatch,
                                                                    capsys, tmp_path):

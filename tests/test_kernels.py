@@ -185,6 +185,15 @@ class TestMmd:
         x = fm(np.full((3, 4), 2.5))
         assert KernelSpec("gaussian").resolved(x, x) == KernelSpec("gaussian", 1.0)
 
+    @pytest.mark.parametrize("kind", ["linear", "gaussian"])
+    def test_resolution_takes_exactly_the_pair(self, kind):
+        x = fm(np.eye(3))
+        with pytest.raises(TypeError, match="missing 2 required positional arguments: "
+                                            "'x_s' and 'x_t'$"):
+            KernelSpec(kind).resolved()
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'x_t'$"):
+            KernelSpec(kind).resolved(x)
+
 
 @pytest.mark.parametrize("bandwidth", [np.nan, 0.0, -1.0])
 def test_gaussian_bandwidth_must_be_positive(bandwidth):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tsrg.solver
@@ -107,21 +107,37 @@ def test_fit_holds_four_n_by_d_arrays_when_d_exceeds_n(monkeypatch):
     assert peak <= 4.5 * (12 + 10) * 4000 * 8
 
 
-# mu = 0 runs no loop: test_mu_zero_is_minimum_norm_least_squares covers it
+# mu = 0 runs no loop: test_mu_zero_is_minimum_norm_least_squares covers it.
+# kappa = 0.1 * 1.1**k reaches the default kappa_max of 1e7 only at k = 194, so the
+# smaller caps drawn here are what make the clamp and the iteration cap run
 @settings(max_examples=40, deadline=None)
 @given(n_s=st.integers(2, 12), n_t=st.integers(2, 12), d=st.integers(1, 60),
        kind=st.sampled_from(["linear", "gaussian"]), lam=st.floats(0.0, 100.0),
        mu=st.floats(0.0, 0.1, exclude_min=True), block=st.integers(1, 4096),
+       kappa_max=st.sampled_from([0.5, 2.0, 1e7]), max_iters=st.integers(1, 60),
        seed=st.integers(0, 2**32 - 1))
-def test_fit_matches_reference_for_any_shape_and_block(n_s, n_t, d, kind, lam, mu, block, seed):
+# the clamp binds from iteration 17 (kappa_max 0.5) or 32 (kappa_max 2), and the cap stops both
+@example(n_s=12, n_t=10, d=5, kind="linear", lam=10.0, mu=0.05, block=50, kappa_max=0.5,
+         max_iters=40, seed=0)
+@example(n_s=12, n_t=10, d=40, kind="gaussian", lam=1.0, mu=1e-3, block=4096, kappa_max=2.0,
+         max_iters=60, seed=1)
+def test_fit_matches_reference_for_any_shape_and_block(n_s, n_t, d, kind, lam, mu, block,
+                                                       kappa_max, max_iters, seed):
     x_s, x_t = shifted_pair(seed, d=d, n_s=n_s, n_t=n_t)
     config = SolverConfig(lam=lam, mu=mu)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tsrg.solver, "_BLOCK", block)
+        mp.setattr(tsrg.solver, "_KAPPA_MAX", kappa_max)
+        mp.setattr(tsrg.solver, "_MAX_ITERS", max_iters)
         model, trace = fit(x_s, x_t, KernelSpec(kind), config)
-    p, feasibility, _ = ialm_reference(x_s, x_t, KernelSpec(kind), config)
+        p, feasibility, kappa = ialm_reference(x_s, x_t, KernelSpec(kind), config)
     assert model.p.tobytes() == p.tobytes()
     assert [r.feasibility for r in trace.records] == feasibility
+    assert [r.kappa for r in trace.records] == kappa
+    assert trace.iters_run == len(feasibility)
+    assert trace.converged == (feasibility[-1] < tsrg.solver._EPSILON)
+    if not trace.converged:  # the cap stopped it
+        assert trace.iters_run == max_iters
 
 
 # over n=22 anchors: one block at d=5, 7x3+1 rows at d=40 with 130-element blocks
